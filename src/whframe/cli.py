@@ -30,9 +30,8 @@ import numpy as np
 from .correlation import correlation_profile, frame_energy_split, walnut_upper_bound
 from .duality import decompose_dual, dual_space, wexler_raz_check
 from .errors import LatticeError, NotAFrameError, NotTightError
-from .frame import canonical_dual, frame_bounds, norm_audit
+from .frame import canonical_dual, frame_bounds, norm_audit, walnut_apply
 from .lattice import GaborLattice, as_signal, dft, norm_sq
-from .oracle import analysis_array
 from .synthesis import PhaseSpec, random_tight_generator, tight_generator_from_phases
 from .tightness import classify, density_diagnostics
 
@@ -244,7 +243,7 @@ def _cmd_fourier_dual(data: ParsedInput, config: JobConfig):
 def _cmd_wh_identity(data: ParsedInput, config: JobConfig):
     g, f = _require(data, "g", "f")
     f1, f2 = frame_energy_split(data.lat, g, f)
-    energy = float(np.sum(np.abs(analysis_array(data.lat, g) @ f) ** 2))
+    energy = float(np.real(np.vdot(f, walnut_apply(data.lat, g, f))))
     scale = 1.0 + norm_sq(f) * norm_sq(g)
     residual = abs(f1 + f2.real - energy)
     holds = residual <= config.tol * scale and abs(f2.imag) <= config.tol * scale

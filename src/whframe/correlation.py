@@ -26,6 +26,7 @@ __all__ = [
     "cross_correlation_table",
     "correlation_profile",
     "periodized_correlation",
+    "adjoint_products",
     "walnut_upper_bound",
     "frame_energy_split",
     "wh_identity_terms",
@@ -65,13 +66,10 @@ def cross_correlation_table(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> 
     require_length(lat, h, g)
     h = np.asarray(h, dtype=np.complex128)
     g = np.asarray(g, dtype=np.complex128)
-    # row n of the stacks is the window shifted by n*a
-    h_shifts = np.stack([np.roll(h, n * lat.a) for n in range(lat.N)])
-    g_shifts = np.stack([np.roll(g, n * lat.a) for n in range(lat.N)])
-    table = np.empty((lat.b, lat.L), dtype=np.complex128)
-    for k in range(lat.b):
-        table[k] = np.sum(h_shifts * np.conj(np.roll(g_shifts, k * lat.q, axis=1)), axis=0)
-    return table
+    lagged = np.conj(np.stack([np.roll(g, k * lat.q) for k in range(lat.b)]))
+    # summing over n*a shifts is the period-a fold of h * lagged: O(b*L) work
+    folds = (h * lagged).reshape(lat.b, lat.N, lat.a).sum(axis=1)
+    return np.tile(folds, lat.N)
 
 
 def correlation_profile(lat: GaborLattice, g: np.ndarray) -> CorrelationProfile:
@@ -97,6 +95,16 @@ def periodized_correlation(h: np.ndarray, g: np.ndarray, shift: int, fold_period
         raise ValueError(f"fold_period {fold_period} does not divide L={L}")
     product = h * np.conj(translate(g, shift))
     return product.reshape(L // fold_period, fold_period).sum(axis=0)
+
+
+def adjoint_products(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """All a*b inner products <h, adjoint_atom(g, k, l)>, shape (a, b).
+
+    Column l is the length-a DFT of periodized_correlation(h, g, l*q, a).
+    """
+    require_length(lat, h, g)
+    folds = np.stack([periodized_correlation(h, g, l * lat.q, lat.a) for l in range(lat.b)])
+    return np.fft.fft(folds, axis=1).T
 
 
 def walnut_upper_bound(lat: GaborLattice, g: np.ndarray) -> float:

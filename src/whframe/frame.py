@@ -1,14 +1,17 @@
 """Frame operator, frame bounds, dual and tight windows, reconstruction.
 
-The frame operator of a window g is the L x L Hermitian positive
-semidefinite matrix S = sum over all M*N atoms of atom * atom^H. Its
-extreme eigenvalues are the optimal frame bounds; the system is a frame
-exactly when the smallest eigenvalue is positive. S commutes with every
-lattice operator, which is what makes the canonical dual S^-1 g and the
-canonical tight window S^-1/2 g generate Weyl-Heisenberg systems again.
+The frame operator S = sum over all M*N atoms of atom * atom^H is L x L,
+Hermitian and positive semidefinite. Its Walnut form
+S = M * sum_k diag(Gk[k]) T_{kq} splits, with x = r + j*q, into q
+Hermitian b x b blocks B_r[j, j'] = M * Gk[(j - j') % b][r + j*q]. Bounds
+(its extreme eigenvalues), S^-1 g and S^-1/2 g take one batched
+eigendecomposition of the blocks: O(L * b^2) time, O(L * b) memory. S
+commutes with every lattice operator, so S^-1 g and S^-1/2 g generate
+Weyl-Heisenberg systems again. Reconstruction and the norm audit fold
+f * conj(T_{na} h) to period M instead of listing atoms.
 
-Near-singular operators are rejected rather than inverted: eigenvalues at
-or below FRAME_FLOOR times the largest mean "not a frame".
+Near-singular operators are rejected rather than inverted: one gate,
+A > FRAME_FLOOR * B, decides "frame" everywhere in the package.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .correlation import cross_correlation_table
 from .errors import NotAFrameError
-from .lattice import GaborLattice, gabor_atom, inner, norm_sq, require_length
+from .lattice import GaborLattice, norm_sq, require_length
 
 __all__ = [
     "FRAME_FLOOR",
@@ -44,6 +47,11 @@ class FrameBounds:
 
     A: float
     B: float
+
+    @property
+    def is_frame(self) -> bool:
+        """The frame gate: A > FRAME_FLOOR * B with B > 0."""
+        return self.B > 0 and self.A > FRAME_FLOOR * self.B
 
     def to_dict(self) -> dict:
         return {"A": self.A, "B": self.B}
@@ -77,61 +85,80 @@ class NormAudit:
         }
 
 
-def _atom_stack(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
-    """All M*N atoms as rows, m-major then n."""
-    return np.stack([
-        gabor_atom(lat, g, m, n) for m in range(lat.M) for n in range(lat.N)
-    ])
+def _walnut_blocks(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
+    """The q diagonal blocks of S, shape (q, b, b); block r acts on fiber r."""
+    table = cross_correlation_table(lat, g, g)
+    j = np.arange(lat.b)
+    x = np.arange(lat.q)[:, None, None] + lat.q * j[None, :, None]
+    return lat.M * table[(j[:, None] - j[None, :]) % lat.b, x]
+
+
+def _fibers(lat: GaborLattice, f: np.ndarray) -> np.ndarray:
+    """f as q fibers: row r holds f(r + j*q), j in [0, b), shape (q, b)."""
+    return np.asarray(f, dtype=np.complex128).reshape(lat.b, lat.q).T
+
+
+def _bounds(w: np.ndarray) -> FrameBounds:
+    """Frame bounds from the block eigenvalues."""
+    return FrameBounds(A=max(float(np.min(w)), 0.0), B=max(float(np.max(w)), 0.0))
 
 
 def frame_operator(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
-    """Dense frame operator S = sum_{m,n} atom (x) conj(atom), shape (L, L)."""
-    require_length(lat, g)
-    atoms = _atom_stack(lat, g)
-    return atoms.T @ np.conj(atoms)
+    """Dense frame operator, shape (L, L), filled from its Walnut diagonals
+    S[x, x - k*q] = M * Gk[k][x]."""
+    x = np.arange(lat.L)
+    columns = (x - lat.q * np.arange(lat.b)[:, None]) % lat.L
+    S = np.zeros((lat.L, lat.L), dtype=np.complex128)
+    S[x, columns] = lat.M * cross_correlation_table(lat, g, g)
+    return S
 
 
 def walnut_apply(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Apply S to f through the diagonal-sum form, without assembling S.
-
-    output(x) = M * sum_{k=0}^{b-1} Gk[k][x] * f(x - k*q).
-    """
+    """Apply S to f block by block, without assembling S; this is the
+    diagonal-sum form output(x) = M * sum_{k<b} Gk[k][x] * f(x - k*q)."""
     require_length(lat, g, f)
-    f = np.asarray(f, dtype=np.complex128)
-    table = cross_correlation_table(lat, g, g)
-    out = np.zeros(lat.L, dtype=np.complex128)
-    for k in range(lat.b):
-        out += table[k] * np.roll(f, k * lat.q)
-    return lat.M * out
+    return np.einsum("rij,rj->ri", _walnut_blocks(lat, g), _fibers(lat, f)).T.reshape(lat.L)
 
 
 def frame_bounds(lat: GaborLattice, g: np.ndarray) -> FrameBounds:
-    """Optimal bounds from the eigenvalues of the dense frame operator."""
-    w = np.linalg.eigvalsh(frame_operator(lat, g))
-    return FrameBounds(A=max(float(w[0]), 0.0), B=max(float(w[-1]), 0.0))
+    """Optimal bounds: extreme eigenvalues over all Walnut blocks of S."""
+    return _bounds(np.linalg.eigvalsh(_walnut_blocks(lat, g)))
 
 
-def _frame_eig(lat: GaborLattice, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of S, raising NotAFrameError when near-singular."""
-    w, V = np.linalg.eigh(frame_operator(lat, g))
-    if w[-1] <= 0.0 or w[0] <= FRAME_FLOOR * w[-1]:
-        raise NotAFrameError(
-            f"lower frame bound {max(float(w[0]), 0.0):.3e} vanishes "
-            f"(upper bound {max(float(w[-1]), 0.0):.3e})"
-        )
-    return w, V
+def _spectral_apply(lat: GaborLattice, g: np.ndarray, power: float) -> np.ndarray:
+    """S^power g by blocks, raising NotAFrameError when S is near-singular."""
+    w, V = np.linalg.eigh(_walnut_blocks(lat, g))
+    bounds = _bounds(w)
+    if not bounds.is_frame:
+        raise NotAFrameError(f"lower frame bound {bounds.A:.3e} vanishes "
+                             f"(upper bound {bounds.B:.3e})")
+    coeffs = np.einsum("rji,rj->ri", np.conj(V), _fibers(lat, g)) * w ** power
+    return np.einsum("rij,rj->ri", V, coeffs).T.reshape(lat.L)
 
 
 def canonical_dual(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
     """The canonical dual window S^-1 g."""
-    w, V = _frame_eig(lat, g)
-    return V @ ((np.conj(V.T) @ np.asarray(g, dtype=np.complex128)) / w)
+    return _spectral_apply(lat, g, -1.0)
 
 
 def tighten(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
     """The canonical tight window S^-1/2 g; its own frame operator is I."""
-    w, V = _frame_eig(lat, g)
-    return V @ ((np.conj(V.T) @ np.asarray(g, dtype=np.complex128)) / np.sqrt(w))
+    return _spectral_apply(lat, g, -0.5)
+
+
+def _translates(lat: GaborLattice, s: np.ndarray) -> np.ndarray:
+    """Row n is translate(s, n*a), shape (N, L)."""
+    shifts = (np.arange(lat.L) - lat.a * np.arange(lat.N)[:, None]) % lat.L
+    return np.asarray(s, dtype=np.complex128)[shifts]
+
+
+def _translate_folds(lat: GaborLattice, f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Row n folds f * conj(translate(h, n*a)) to period M, shape (N, M).
+
+    The DFT of row n gives the coefficients <f, atom_h(m, n)> over m.
+    """
+    products = np.asarray(f, dtype=np.complex128) * np.conj(_translates(lat, h))
+    return products.reshape(lat.N, lat.b, lat.M).sum(axis=1)
 
 
 def reconstruct(lat: GaborLattice, g: np.ndarray, h: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -139,32 +166,26 @@ def reconstruct(lat: GaborLattice, g: np.ndarray, h: np.ndarray, f: np.ndarray) 
 
     Returns sum_{m,n} <f, atom_h(m,n)> * atom_g(m,n). This equals f for
     every f exactly when h is a dual window of g, which is the operational
-    duality test.
+    duality test. Summing over m first leaves the mixed Walnut form
+    output(x) = M * sum_n g(x - n*a) * P_n[x mod M], with P_n the period-M
+    fold of f * conj(translate(h, n*a)).
     """
     require_length(lat, g, h, f)
-    f = np.asarray(f, dtype=np.complex128)
-    atoms_g = _atom_stack(lat, g)
-    atoms_h = _atom_stack(lat, h)
-    coeffs = np.conj(atoms_h) @ f
-    return atoms_g.T @ coeffs
+    folds = _translate_folds(lat, f, h)
+    return lat.M * np.sum(_translates(lat, g) * np.tile(folds, lat.b), axis=0)
 
 
 def norm_audit(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> NormAudit:
     """Check norm_sq(g) <= B; at equality, check g against all other atoms."""
-    require_length(lat, g)
-    nsq = norm_sq(g)
     B = frame_bounds(lat, g).B
+    nsq = norm_sq(g)
     at_bound = abs(nsq - B) <= tol
-    max_overlap = None
-    orthogonal = None
+    max_overlap = orthogonal = None
     if at_bound:
-        overlaps = [
-            abs(inner(g, gabor_atom(lat, g, m, n)))
-            for m in range(lat.M)
-            for n in range(lat.N)
-            if (m, n) != (0, 0)
-        ]
-        max_overlap = max(overlaps, default=0.0)
+        # entry [n, m] is <g, atom(m, n)>; (0, 0) is the window itself
+        overlaps = np.abs(np.fft.fft(_translate_folds(lat, g, g), axis=1))
+        overlaps[0, 0] = 0.0
+        max_overlap = float(np.max(overlaps))
         orthogonal = max_overlap <= tol
     return NormAudit(
         norm_sq=nsq,

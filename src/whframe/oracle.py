@@ -60,12 +60,13 @@ def oracle_tight_constant(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -
     """The constant c with S == c*I, or None if there is no such constant.
 
     S is assembled from the analysis array alone and compared against
-    c*I entrywise, with c read off the diagonal average.
+    c*I entrywise, with c read off the diagonal average, to within
+    tol * max(c, 1) so that scaled tight windows keep their constant.
     """
     arr = analysis_array(lat, g)
     S = np.conj(arr).T @ arr
     c = float(np.mean(np.diag(S).real))
-    if np.max(np.abs(S - c * np.eye(lat.L))) <= tol:
+    if np.max(np.abs(S - c * np.eye(lat.L))) <= tol * max(c, 1.0):
         return c
     return None
 

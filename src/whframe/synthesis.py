@@ -110,10 +110,7 @@ def tight_generator_from_phases(spec: PhaseSpec) -> np.ndarray:
     lat = spec.lat
     spectra = np.exp(2j * np.pi * spec.phases) / np.sqrt(lat.L)
     rows = np.fft.ifft(spectra, axis=1, norm="ortho")
-    g = np.empty(lat.L, dtype=np.complex128)
-    for y in range(lat.a):
-        g[y::lat.a] = rows[y]
-    return g
+    return rows.T.reshape(lat.L)  # g(y + n*a) = rows[y][n]
 
 
 def phases_from_tight_generator(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> PhaseSpec:

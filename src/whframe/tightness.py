@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import cross_correlation_table
-from .frame import FrameBounds, canonical_dual, frame_bounds, frame_operator
-from .lattice import GaborLattice, adjoint_atom, dft, inner, norm_sq, require_length
+from .correlation import adjoint_products
+from .duality import dual_conditions_walnut, wexler_raz_check
+from .frame import FrameBounds, canonical_dual, frame_bounds, walnut_apply
+from .lattice import GaborLattice, adjoint_atoms, dft, inner, norm_sq
 
 __all__ = [
     "TightnessReport",
@@ -104,24 +105,13 @@ class DensityReport:
 
 
 def check_cond_walnut(lat: GaborLattice, g: np.ndarray) -> float:
-    """Flat-profile residual: |Gk[0] - b/L| and |Gk[k != 0]|, worst case."""
-    require_length(lat, g)
-    table = cross_correlation_table(lat, g, g)
-    residual = float(np.max(np.abs(table[0] - lat.b / lat.L)))
-    if lat.b > 1:
-        residual = max(residual, float(np.max(np.abs(table[1:]))))
-    return residual
+    """Flat-profile residual |Gk[0] - b/L|, |Gk[k != 0]|: dual_conditions_walnut(g, g)."""
+    return dual_conditions_walnut(lat, g, g)
 
 
 def check_cond_adjoint(lat: GaborLattice, g: np.ndarray) -> float:
-    """Self-orthogonality residual on the adjoint lattice, plus the norm gap."""
-    require_length(lat, g)
-    residual = abs(norm_sq(g) - lat.a * lat.b / lat.L)
-    for k in range(lat.a):
-        for l in range(lat.b):
-            if (k, l) != (0, 0):
-                residual = max(residual, abs(inner(g, adjoint_atom(lat, g, k, l))))
-    return float(residual)
+    """Self-orthogonality residual plus the norm gap: wexler_raz_check(g, g)."""
+    return wexler_raz_check(lat, g, g)
 
 
 def check_cond_orthogonal_system(lat: GaborLattice, g: np.ndarray) -> float:
@@ -130,37 +120,35 @@ def check_cond_orthogonal_system(lat: GaborLattice, g: np.ndarray) -> float:
     Agrees with check_cond_adjoint up to roundoff: any two adjoint atoms
     have the same inner product as g with a third, times a unit phase.
     """
-    require_length(lat, g)
-    atoms = [adjoint_atom(lat, g, k, l) for k in range(lat.a) for l in range(lat.b)]
-    residual = abs(norm_sq(g) - lat.a * lat.b / lat.L)
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            residual = max(residual, abs(inner(atoms[i], atoms[j])))
-    return float(residual)
+    atoms = adjoint_atoms(lat, g)
+    pairs = np.abs(np.triu(atoms @ np.conj(atoms.T), 1))
+    return max(abs(norm_sq(g) - lat.a * lat.b / lat.L), float(np.max(pairs)))
+
+
+def _fixed_point_residual(lat: GaborLattice, g: np.ndarray, bounds: FrameBounds) -> float:
+    residual = float(np.max(np.abs(walnut_apply(lat, g, g) - g)))
+    return residual if bounds.is_frame else max(residual, 1.0)
 
 
 def check_cond_fixed_point(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> float:
     """Fixed-point residual ||S g - g||_inf, forced to fail for non-frames.
 
     S g = g alone does not rule out a singular S (the window can sit in a
-    unit-eigenvalue eigenspace while S has a kernel), so when the lower
-    bound is at most tol times the upper the residual is floored at 1.
+    unit-eigenvalue eigenspace while S has a kernel), so the residual is
+    floored at 1 when the bounds fail the frame gate. tol is unused: the
+    gate is FRAME_FLOOR, as everywhere.
     """
-    require_length(lat, g)
-    S = frame_operator(lat, g)
-    w = np.linalg.eigvalsh(S)
-    residual = float(np.max(np.abs(S @ np.asarray(g, dtype=np.complex128) - g)))
-    if w[0] <= tol * w[-1]:
-        residual = max(residual, 1.0)
-    return residual
+    return _fixed_point_residual(lat, g, frame_bounds(lat, g))
 
 
 def classify(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> TightnessReport:
-    """Full tightness report: bounds, all four residuals, basis flags."""
-    require_length(lat, g)
+    """Full tightness report: bounds, all four residuals, basis flags.
+
+    Tight means B - A <= tol * B, so no verdict changes when g is scaled.
+    """
     bounds = frame_bounds(lat, g)
-    is_frame = bounds.A > tol * bounds.B if bounds.B > 0 else False
-    tight = bounds.B - bounds.A <= 2 * tol
+    is_frame = bounds.is_frame
+    tight = bounds.B - bounds.A <= tol * bounds.B
     tight_constant = (bounds.A + bounds.B) / 2 if tight else None
     normalized_tight = abs(bounds.A - 1.0) <= tol and abs(bounds.B - 1.0) <= tol
     onb = normalized_tight and abs(norm_sq(g) ** 0.5 - 1.0) <= tol
@@ -174,7 +162,7 @@ def classify(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> TightnessRe
         cond2_residual=check_cond_walnut(lat, g),
         cond3_residual=check_cond_adjoint(lat, g),
         cond4_residual=check_cond_orthogonal_system(lat, g),
-        cond5_residual=check_cond_fixed_point(lat, g, tol),
+        cond5_residual=_fixed_point_residual(lat, g, bounds),
     )
 
 
@@ -183,18 +171,12 @@ def density_diagnostics(lat: GaborLattice, g: np.ndarray) -> DensityReport:
     dual = canonical_dual(lat, g)
     pairing = inner(dual, g)
     expected = lat.a * lat.b / lat.L
-    adjoint_residual = 0.0
-    for k in range(lat.a):
-        for l in range(lat.b):
-            if (k, l) != (0, 0):
-                adjoint_residual = max(
-                    adjoint_residual, abs(inner(dual, adjoint_atom(lat, g, k, l)))
-                )
+    off_origin = np.abs(adjoint_products(lat, dual, g)).ravel()[1:]
     return DensityReport(
         dual_pairing=pairing,
         expected_pairing=expected,
         pairing_residual=abs(pairing - expected),
-        adjoint_residual=float(adjoint_residual),
+        adjoint_residual=float(np.max(off_origin, initial=0.0)),
         riesz_basis=lat.atom_count == lat.L,
     )
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from whframe import GaborLattice, frame_bounds, random_tight_generator
+from whframe.oracle import analysis_array
 
 SIZES = (4, 6, 8, 12, 16)
 
@@ -20,6 +21,12 @@ def lattice_pool(sizes=SIZES, max_density=None):
                 if max_density is None or a * b <= max_density * L:
                     pool.append(GaborLattice(L, a, b))
     return pool
+
+
+def oracle_operator(lat, g):
+    """Dense frame operator from the oracle's analysis array: S = C^H C."""
+    arr = analysis_array(lat, g)
+    return np.conj(arr.T) @ arr
 
 
 def random_lattice(rng, sizes=SIZES, max_density=None):

@@ -1,0 +1,228 @@
+"""The block (Walnut) route against the brute-force oracle.
+
+Bounds, spectra, duals, tight windows, reconstructions and the adjoint
+residuals are compared with dense linear algebra on the analysis array
+over a pool that covers critical, 2x and 4x oversampled, a = b = 1 and
+over-dense lattices, with Gaussian, tight, coset-zero and near-singular
+windows. Also: the one frame gate at its boundary, scale-aware tightness,
+and the memory bound of classify.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from whframe import (
+    GaborLattice,
+    NotAFrameError,
+    adjoint_atom,
+    canonical_dual,
+    check_cond_fixed_point,
+    check_cond_orthogonal_system,
+    classify,
+    cross_correlation_table,
+    frame_bounds,
+    frame_operator,
+    inner,
+    norm_sq,
+    random_tight_generator,
+    reconstruct,
+    tighten,
+)
+from whframe.cli import main
+from whframe.correlation import adjoint_products
+from whframe.frame import FRAME_FLOOR, FrameBounds, _translate_folds, _walnut_blocks
+from whframe.oracle import (
+    analysis_array,
+    oracle_adjoint_gram,
+    oracle_frame_bounds,
+    oracle_is_dual,
+    oracle_tight_constant,
+)
+from helpers import oracle_operator, random_signal
+
+REL = 1e-9
+
+LATTICES = [
+    (12, 3, 4), (24, 4, 6), (48, 6, 8),     # critical
+    (16, 2, 4), (24, 3, 4), (48, 4, 6),     # 2x oversampled
+    (16, 2, 2), (24, 2, 3), (48, 4, 3),     # 4x oversampled
+    (12, 1, 1), (48, 1, 1),                 # a = b = 1
+    (12, 4, 6), (16, 8, 4),                 # over-dense
+]
+
+
+def near_singular(lat, rng, ratio):
+    """Critical-density window whose frame bounds have A/B == ratio.
+
+    At a*b == L the eigenvalues of S are L * |w_y(j)|^2 over the residue
+    spectra w_y, so scaling one bin by sqrt(ratio) sets A/B.
+    """
+    spectra = np.exp(2j * np.pi * rng.random((lat.a, lat.b))) / np.sqrt(lat.L)
+    spectra[rng.integers(lat.a), rng.integers(lat.b)] *= np.sqrt(ratio)
+    return np.fft.ifft(spectra, axis=1, norm="ortho").T.reshape(lat.L)
+
+
+def pool():
+    rng = np.random.default_rng(7)
+    cases = []
+    for L, a, b in LATTICES:
+        lat = GaborLattice(L, a, b)
+        cases.append((lat, "gauss", random_signal(rng, L)))
+        g = random_signal(rng, L)
+        g[int(rng.integers(a))::a] = 0.0
+        cases.append((lat, "coset0", g))
+        if a * b <= L:
+            cases.append((lat, "tight", random_tight_generator(lat, int(rng.integers(2**31)))))
+        if a * b == L:
+            cases.append((lat, "near-singular", near_singular(lat, rng, 1e-6)))
+    return cases
+
+
+POOL = pool()
+IDS = [f"{lat.L}-{lat.a}-{lat.b}-{kind}" for lat, kind, _ in POOL]
+
+
+def rel_err(x, y):
+    scale = max(float(np.max(np.abs(y))), 1e-300)
+    return float(np.max(np.abs(np.asarray(x) - np.asarray(y)))) / scale
+
+
+@pytest.mark.parametrize("lat,kind,g", POOL, ids=IDS)
+class TestAgainstOracle:
+    def test_block_spectrum_is_dense_spectrum(self, lat, kind, g):
+        blocks = _walnut_blocks(lat, g)
+        fast = np.sort(np.linalg.eigvalsh(blocks).ravel())
+        dense = np.linalg.eigvalsh(oracle_operator(lat, g))
+        assert rel_err(fast, dense) <= REL
+
+    def test_bounds_and_gate(self, lat, kind, g):
+        fast, slow = frame_bounds(lat, g), oracle_frame_bounds(lat, g)
+        assert abs(fast.A - slow.A) <= REL * slow.B
+        assert abs(fast.B - slow.B) <= REL * slow.B
+        expected = kind in ("gauss", "tight", "near-singular") and lat.a * lat.b <= lat.L
+        assert classify(lat, g).is_frame == expected
+
+    def test_frame_operator(self, lat, kind, g):
+        assert rel_err(frame_operator(lat, g), oracle_operator(lat, g)) <= REL
+
+    def test_canonical_dual_and_tighten(self, lat, kind, g):
+        if not classify(lat, g).is_frame:
+            with pytest.raises(NotAFrameError):
+                canonical_dual(lat, g)
+            with pytest.raises(NotAFrameError):
+                tighten(lat, g)
+            return
+        w, V = np.linalg.eigh(oracle_operator(lat, g))
+        coeffs = np.conj(V.T) @ g
+        h = canonical_dual(lat, g)
+        assert rel_err(h, V @ (coeffs / w)) <= REL
+        assert oracle_is_dual(lat, g, h)
+        t = tighten(lat, g)
+        assert rel_err(t, V @ (coeffs / np.sqrt(w))) <= REL
+        assert oracle_tight_constant(lat, t) == pytest.approx(1.0, rel=REL)
+
+    def test_reconstruct(self, lat, kind, g):
+        rng = np.random.default_rng(lat.L)
+        h, f = random_signal(rng, lat.L), random_signal(rng, lat.L)
+        dense = np.conj(analysis_array(lat, g).T) @ (analysis_array(lat, h) @ f)
+        assert rel_err(reconstruct(lat, g, h, f), dense) <= REL
+
+    def test_coefficients(self, lat, kind, g):
+        f = random_signal(np.random.default_rng(lat.L + 1), lat.L)
+        # analysis_array rows are m-major; the folds give rows n, columns m
+        dense = (analysis_array(lat, g) @ f).reshape(lat.M, lat.N).T
+        assert rel_err(np.fft.fft(_translate_folds(lat, f, g), axis=1), dense) <= REL
+
+    def test_adjoint_residuals(self, lat, kind, g):
+        gram = oracle_adjoint_gram(lat, g)
+        # row 0 of the Gram matrix is <g, adjoint_atom(k, l)>, k-major
+        assert rel_err(adjoint_products(lat, g, g).ravel(), gram[0]) <= REL
+        gap = abs(norm_sq(g) - lat.a * lat.b / lat.L)
+        expected = max(gap, float(np.max(np.abs(np.triu(gram, 1)), initial=0.0)))
+        assert check_cond_orthogonal_system(lat, g) == pytest.approx(expected, rel=REL)
+
+    def test_tight_constant(self, lat, kind, g):
+        report, c = classify(lat, g), oracle_tight_constant(lat, g)
+        assert (report.tight_constant is None) == (c is None)
+        if c is not None:
+            assert report.tight_constant == pytest.approx(c, rel=REL)
+
+
+def test_cross_table_matches_shift_sum():
+    rng = np.random.default_rng(12)
+    for L, a, b in LATTICES:
+        lat = GaborLattice(L, a, b)
+        g, h = random_signal(rng, L), random_signal(rng, L)
+        loop = np.array([
+            sum(np.roll(h, n * a) * np.conj(np.roll(g, n * a + k * lat.q)) for n in range(lat.N))
+            for k in range(b)
+        ])
+        assert rel_err(cross_correlation_table(lat, h, g), loop) <= 1e-12
+
+
+def test_adjoint_products_match_atom_loop():
+    rng = np.random.default_rng(8)
+    for L, a, b in LATTICES:
+        lat = GaborLattice(L, a, b)
+        g, h = random_signal(rng, L), random_signal(rng, L)
+        loop = np.array([[inner(h, adjoint_atom(lat, g, k, l)) for l in range(b)]
+                         for k in range(a)])
+        assert rel_err(adjoint_products(lat, h, g), loop) <= 1e-12
+
+
+class TestFrameGate:
+    def test_gate_is_strict_at_the_floor(self):
+        assert FrameBounds(A=2 * FRAME_FLOOR, B=1.0).is_frame
+        assert not FrameBounds(A=FRAME_FLOOR, B=1.0).is_frame
+        assert not FrameBounds(A=0.0, B=0.0).is_frame
+
+    @pytest.mark.parametrize("ratio,frame", [(3 * FRAME_FLOOR, True), (FRAME_FLOOR / 3, False)])
+    def test_every_route_reads_the_one_gate(self, ratio, frame):
+        lat = GaborLattice(48, 6, 8)
+        g = near_singular(lat, np.random.default_rng(9), ratio)
+        bounds = frame_bounds(lat, g)
+        assert bounds.A / bounds.B == pytest.approx(ratio, rel=1e-3)
+        assert classify(lat, g).is_frame == frame
+        assert (check_cond_fixed_point(lat, g) >= 1.0) == (not frame)
+        if frame:
+            canonical_dual(lat, g)
+        else:
+            with pytest.raises(NotAFrameError):
+                canonical_dual(lat, g)
+
+    def test_analyze_and_dual_agree_near_the_floor(self, tmp_path, capsys):
+        # A/B = 9e-10: above the floor, so both commands see a frame
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(
+            {"L": 4, "a": 2, "b": 2, "g": [[1, 0], [3e-5, 0], [0, 0], [0, 0]]}))
+        analyze = main(["analyze", "--input", str(path)])
+        dual = main(["dual", "--input", str(path)])
+        capsys.readouterr()
+        assert analyze == dual == 0
+
+
+@pytest.mark.parametrize("L,a,b", [(48, 4, 6), (48, 6, 8), (12, 1, 1), (48, 1, 1)])
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_scaled_tight_window_keeps_its_constant(L, a, b, scale):
+    lat = GaborLattice(L, a, b)
+    g = scale * random_tight_generator(lat, 11)
+    report = classify(lat, g)
+    assert report.is_frame and not report.normalized_tight
+    assert report.tight_constant == pytest.approx(scale**2, rel=1e-9)
+    assert oracle_tight_constant(lat, g) == pytest.approx(scale**2, rel=1e-9)
+
+
+def test_classify_memory_at_unit_steps():
+    lat = GaborLattice(960, 1, 1)
+    g = random_signal(np.random.default_rng(10), lat.L)
+    tracemalloc.start()
+    try:
+        report = classify(lat, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_frame
+    assert peak < 64 * 2**20

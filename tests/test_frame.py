@@ -18,7 +18,7 @@ from whframe import (
     walnut_apply,
 )
 from whframe.oracle import oracle_frame_bounds
-from helpers import random_frame, random_lattice, random_signal
+from helpers import oracle_operator, random_frame, random_lattice, random_signal
 
 
 def atom_operator(lat, m, n):
@@ -78,14 +78,14 @@ class TestWalnutApply:
         rng = np.random.default_rng(22)
         lat = GaborLattice(8, 2, 4)
         g, f = random_signal(rng, 8), random_signal(rng, 8)
-        assert np.allclose(walnut_apply(lat, g, f), frame_operator(lat, g) @ f, atol=1e-10)
+        assert np.allclose(walnut_apply(lat, g, f), oracle_operator(lat, g) @ f, atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_dense_operator_property(self, seed):
         rng = np.random.default_rng(seed)
         lat = random_lattice(rng, sizes=(4, 6, 8, 12, 16, 24, 48))
         g, f = random_signal(rng, lat.L), random_signal(rng, lat.L)
-        dense = frame_operator(lat, g) @ f
+        dense = oracle_operator(lat, g) @ f
         fast = walnut_apply(lat, g, f)
         assert np.max(np.abs(fast - dense)) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
 
@@ -162,7 +162,7 @@ class TestTighten:
         rng = np.random.default_rng(seed)
         lat, g = random_frame(rng)
         t = tighten(lat, g)
-        assert np.max(np.abs(frame_operator(lat, t) - np.eye(lat.L))) <= 1e-9
+        assert np.max(np.abs(oracle_operator(lat, t) - np.eye(lat.L))) <= 1e-9
         assert check_cond_walnut(lat, t) <= 1e-9
 
     def test_not_a_frame(self, impulse):
