@@ -29,8 +29,7 @@ import numpy as np
 
 from .correlation import correlation_profile, frame_energy_split, walnut_upper_bound
 from .duality import decompose_dual, dual_space, wexler_raz_check
-from .errors import LatticeError, NotAFrameError, NotTightError
-from .frame import canonical_dual, frame_bounds, norm_audit, walnut_apply
+from .frame import frame_bounds, norm_audit, walnut_apply
 from .lattice import GaborLattice, as_signal, dft, norm_sq
 from .synthesis import PhaseSpec, random_tight_generator, tight_generator_from_phases
 from .tightness import classify, density_diagnostics
@@ -195,7 +194,7 @@ def _cmd_dual(data: ParsedInput, config: JobConfig):
     out = {
         "lattice": _lattice_dict(data.lat),
         "constants": _constants(data.lat),
-        "canonical_dual": _pairs(canonical_dual(data.lat, g)),
+        "canonical_dual": _pairs(space.canonical_dual),
         "dual_space": space.to_dict(),
     }
     return 0, out
@@ -322,8 +321,7 @@ def run(config: JobConfig) -> int:
     try:
         data = parse_signal_file(config.input_path)
         code, payload = _HANDLERS[config.command](data, config)
-    except (LatticeError, NotAFrameError, NotTightError, ValueError, OSError,
-            json.JSONDecodeError) as e:
+    except (ValueError, OSError, MemoryError) as e:  # whframe's errors are ValueErrors
         _emit_error(e)
         return 2
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"

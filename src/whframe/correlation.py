@@ -61,15 +61,20 @@ class CorrelationProfile:
         return "\n".join(lines) + "\n"
 
 
-def cross_correlation_table(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Table of sum_n h(x - n*a) * conj(g(x - n*a - k*q)), shape (b, L)."""
+def _folds(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """F[l, s] = sum_t h(s + t*a) * conj(g(s + t*a - l*q)), shape (b, a):
+    the period-a folds of h * conj(T_{lq} g), O(b*L) work. Tiled, they are
+    the cross-correlation table; their length-a DFTs, the adjoint products."""
     require_length(lat, h, g)
     h = np.asarray(h, dtype=np.complex128)
     g = np.asarray(g, dtype=np.complex128)
-    lagged = np.conj(np.stack([np.roll(g, k * lat.q) for k in range(lat.b)]))
-    # summing over n*a shifts is the period-a fold of h * lagged: O(b*L) work
-    folds = (h * lagged).reshape(lat.b, lat.N, lat.a).sum(axis=1)
-    return np.tile(folds, lat.N)
+    lagged = np.conj(np.stack([np.roll(g, l * lat.q) for l in range(lat.b)]))
+    return (h * lagged).reshape(lat.b, lat.N, lat.a).sum(axis=1)
+
+
+def cross_correlation_table(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Table of sum_n h(x - n*a) * conj(g(x - n*a - k*q)), shape (b, L)."""
+    return np.tile(_folds(lat, h, g), lat.N)
 
 
 def correlation_profile(lat: GaborLattice, g: np.ndarray) -> CorrelationProfile:
@@ -100,11 +105,10 @@ def periodized_correlation(h: np.ndarray, g: np.ndarray, shift: int, fold_period
 def adjoint_products(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """All a*b inner products <h, adjoint_atom(g, k, l)>, shape (a, b).
 
-    Column l is the length-a DFT of periodized_correlation(h, g, l*q, a).
+    Column l is the length-a DFT of row l of the fold F, which is
+    periodized_correlation(h, g, l*q, a).
     """
-    require_length(lat, h, g)
-    folds = np.stack([periodized_correlation(h, g, l * lat.q, lat.a) for l in range(lat.b)])
-    return np.fft.fft(folds, axis=1).T
+    return np.fft.fft(_folds(lat, h, g), axis=1).T
 
 
 def walnut_upper_bound(lat: GaborLattice, g: np.ndarray) -> float:

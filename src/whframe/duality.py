@@ -10,7 +10,8 @@ equivalent to that identity and to each other:
     row 0 equal to b/L and vanishing other rows.
 
 The set of all duals is the affine space S^-1 g + W, where W is the
-orthogonal complement of the span of the a*b adjoint atoms of g.
+orthogonal complement of the span of the a*b adjoint atoms of g. W splits
+over the residue classes mod a: a SVDs of b x N matrices find it.
 decompose_dual splits a candidate against that description;
 make_alternate_dual walks the space. At critical density the adjoint
 atoms span everything, W = {0}, and the canonical dual is the only dual.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .correlation import adjoint_products, cross_correlation_table
 from .frame import canonical_dual
-from .lattice import GaborLattice, adjoint_atoms, require_length
+from .lattice import GaborLattice, require_length
 
 __all__ = [
     "RANK_TOL",
@@ -43,16 +44,19 @@ RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DualSpace:
-    """Orthocomplement of the adjoint-atom span of a frame window.
+    """The duals S^-1 g + W of a frame window.
 
-    complement_basis holds dimension orthonormal rows, each orthogonal to
-    every adjoint atom of the generator; orbit_rank + dimension == L.
+    complement_basis holds dimension orthonormal rows spanning W, each
+    orthogonal to every adjoint atom of the generator and supported on one
+    residue class mod a; orbit_rank + dimension == L. canonical_dual is
+    S^-1 g, left out of to_dict.
     """
 
     lat: GaborLattice
     generator: np.ndarray
     orbit_rank: int
     complement_basis: np.ndarray
+    canonical_dual: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -108,28 +112,37 @@ def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> f
     the worst of |Hk[0] - b/L| and |Hk[k != 0]|.
     """
     table = cross_correlation_table(lat, h, g)
-    residual = float(np.max(np.abs(table[0] - lat.b / lat.L)))
-    if lat.b > 1:
-        residual = max(residual, float(np.max(np.abs(table[1:]))))
-    return residual
+    table[0] -= lat.b / lat.L
+    return float(np.max(np.abs(table)))
+
+
+def _residue_complement(lat: GaborLattice, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class ranks, shape (a,), and an orthonormal basis of W by rows.
+
+    With x = s + t*a, adjoint_atom(k, l)(x) = exp(2*pi*i*k*s/a) * V_s[l, t]
+    for V_s[l, t] = g(s + t*a - l*q): the atom stack is unitarily equivalent
+    to sqrt(a) times the block diagonal of the b x N matrices V_s. Ranks
+    count singular values above RANK_TOL times the largest of all classes;
+    a null row v of V_s is placed at x = s + t*a.
+    """
+    t = np.arange(lat.N)
+    x = np.arange(lat.a)[:, None, None] + lat.a * t - lat.q * np.arange(lat.b)[:, None]
+    _, sv, Vh = np.linalg.svd(np.asarray(g, dtype=np.complex128)[x % lat.L])
+    ranks = np.sum(sv > RANK_TOL * np.max(sv), axis=1)
+    classes, rows = np.nonzero(t >= ranks[:, None])
+    basis = np.zeros((len(classes), lat.L), dtype=np.complex128)
+    basis[np.arange(len(classes))[:, None], classes[:, None] + lat.a * t] = Vh[classes, rows]
+    return ranks, basis
 
 
 def dual_space(lat: GaborLattice, g: np.ndarray) -> DualSpace:
-    """Orthonormal basis of the space of free parts of duals of g.
+    """The canonical dual and an orthonormal basis of the free parts of duals.
 
     Raises NotAFrameError (via the canonical dual) when g is not a frame.
-    The rank of the adjoint-atom span is detected from singular values at
-    the RANK_TOL relative threshold.
     """
-    canonical_dual(lat, g)  # frame gate
-    _, s, Vh = np.linalg.svd(np.conj(adjoint_atoms(lat, g)))
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    return DualSpace(
-        lat=lat,
-        generator=np.asarray(g, dtype=np.complex128),
-        orbit_rank=rank,
-        complement_basis=np.conj(Vh[rank:]),
-    )
+    canonical = canonical_dual(lat, g)
+    ranks, basis = _residue_complement(lat, g)
+    return DualSpace(lat, np.asarray(g, dtype=np.complex128), int(np.sum(ranks)), basis, canonical)
 
 
 def make_alternate_dual(lat: GaborLattice, g: np.ndarray, coeffs) -> np.ndarray:
@@ -140,7 +153,7 @@ def make_alternate_dual(lat: GaborLattice, g: np.ndarray, coeffs) -> np.ndarray:
         raise ValueError(
             f"expected {space.dimension} coefficients, got shape {coeffs.shape}"
         )
-    return canonical_dual(lat, g) + coeffs @ space.complement_basis
+    return space.canonical_dual + coeffs @ space.complement_basis
 
 
 def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray, tol: float = 1e-9) -> DualReport:
@@ -150,8 +163,8 @@ def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray, tol: float =
     when h is a dual; <h - S^-1 g, g> = <h, g> - a*b/L vanishes then too.
     """
     require_length(lat, g, h)
-    complement = dual_space(lat, g).complement_basis
-    canonical = canonical_dual(lat, g)
+    space = dual_space(lat, g)
+    complement, canonical = space.complement_basis, space.canonical_dual
     free = np.asarray(h, dtype=np.complex128) - canonical
     orbit_part = free - complement.T @ (np.conj(complement) @ free)
     in_complement = bool(np.linalg.norm(orbit_part) <= tol)

@@ -16,7 +16,7 @@ A > FRAME_FLOOR * B, decides "frame" everywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -75,14 +75,7 @@ class NormAudit:
     orthogonal_to_rest: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "norm_sq": self.norm_sq,
-            "upper_bound": self.upper_bound,
-            "within_bound": self.within_bound,
-            "at_bound": self.at_bound,
-            "max_overlap": self.max_overlap,
-            "orthogonal_to_rest": self.orthogonal_to_rest,
-        }
+        return asdict(self)
 
 
 def _walnut_blocks(lat: GaborLattice, g: np.ndarray) -> np.ndarray:

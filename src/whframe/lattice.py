@@ -27,7 +27,6 @@ __all__ = [
     "modulate",
     "gabor_atom",
     "adjoint_atom",
-    "adjoint_atoms",
     "dft",
     "idft",
     "inner",
@@ -57,6 +56,7 @@ class GaborLattice:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise LatticeError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, int(v))  # np.integer in, int out
         if self.a > self.L or self.L % self.a:
             raise LatticeError(f"shift step a={self.a} must divide L={self.L}")
         if self.b > self.L or self.L % self.b:
@@ -149,14 +149,6 @@ def adjoint_atom(lat: GaborLattice, g: np.ndarray, k: int, l: int) -> np.ndarray
     l %= lat.b
     x = np.arange(lat.L)
     return np.exp(2j * np.pi * k * lat.p * x / lat.L) * np.roll(g, l * lat.q)
-
-
-def adjoint_atoms(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
-    """All a*b adjoint atoms as rows, k-major: row k*b + l is adjoint_atom(k, l)."""
-    require_length(lat, g)
-    k, x = np.arange(lat.a)[:, None, None], np.arange(lat.L)
-    shifts = np.stack([np.roll(g, l * lat.q) for l in range(lat.b)])
-    return (np.exp(2j * np.pi * k * lat.p * x / lat.L) * shifts).reshape(-1, lat.L)
 
 
 def dft(s: np.ndarray) -> np.ndarray:

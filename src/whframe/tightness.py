@@ -8,7 +8,9 @@ and only if any one of the following holds, and then all of them do:
   (3) g is orthogonal to every nontrivial adjoint-lattice atom of itself
       and norm_sq(g) == a*b/L;
   (4) the adjoint-lattice atoms of g form an orthogonal family and
-      norm_sq(g) == a*b/L;
+      norm_sq(g) == a*b/L; by the phase identity
+      <A_i g, A_j g> = phase * <g, A_{j-i} g> its residual is that of (3),
+      and oracle_adjoint_gram is the independent check;
   (5) the system is a frame and S g = g.
 
 Each check returns a residual; the criterion holds when the residual is
@@ -20,14 +22,14 @@ iff it has exactly L atoms (M*N == L, i.e. a*b == L).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .correlation import adjoint_products
 from .duality import dual_conditions_walnut, wexler_raz_check
 from .frame import FrameBounds, canonical_dual, frame_bounds, walnut_apply
-from .lattice import GaborLattice, adjoint_atoms, dft, inner, norm_sq
+from .lattice import GaborLattice, dft, inner, norm_sq
 
 __all__ = [
     "TightnessReport",
@@ -64,18 +66,7 @@ class TightnessReport:
     cond5_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "bounds": self.bounds.to_dict(),
-            "is_frame": self.is_frame,
-            "tight_constant": self.tight_constant,
-            "normalized_tight": self.normalized_tight,
-            "onb": self.onb,
-            "riesz_basis": self.riesz_basis,
-            "cond2_residual": self.cond2_residual,
-            "cond3_residual": self.cond3_residual,
-            "cond4_residual": self.cond4_residual,
-            "cond5_residual": self.cond5_residual,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -117,12 +108,12 @@ def check_cond_adjoint(lat: GaborLattice, g: np.ndarray) -> float:
 def check_cond_orthogonal_system(lat: GaborLattice, g: np.ndarray) -> float:
     """Pairwise-orthogonality residual of all a*b adjoint atoms, plus norm gap.
 
-    Agrees with check_cond_adjoint up to roundoff: any two adjoint atoms
-    have the same inner product as g with a third, times a unit phase.
+    Two distinct adjoint atoms have the inner product of g with a third,
+    nontrivial one, times a unit phase, and every nontrivial atom occurs
+    that way; so this is check_cond_adjoint. The brute-force Gram matrix
+    in oracle_adjoint_gram checks it independently.
     """
-    atoms = adjoint_atoms(lat, g)
-    pairs = np.abs(np.triu(atoms @ np.conj(atoms.T), 1))
-    return max(abs(norm_sq(g) - lat.a * lat.b / lat.L), float(np.max(pairs)))
+    return check_cond_adjoint(lat, g)
 
 
 def _fixed_point_residual(lat: GaborLattice, g: np.ndarray, bounds: FrameBounds) -> float:
@@ -152,6 +143,7 @@ def classify(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> TightnessRe
     tight_constant = (bounds.A + bounds.B) / 2 if tight else None
     normalized_tight = abs(bounds.A - 1.0) <= tol and abs(bounds.B - 1.0) <= tol
     onb = normalized_tight and abs(norm_sq(g) ** 0.5 - 1.0) <= tol
+    adjoint = check_cond_adjoint(lat, g)  # criteria (3) and (4)
     return TightnessReport(
         bounds=bounds,
         is_frame=is_frame,
@@ -160,8 +152,8 @@ def classify(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> TightnessRe
         onb=onb,
         riesz_basis=is_frame and lat.atom_count == lat.L,
         cond2_residual=check_cond_walnut(lat, g),
-        cond3_residual=check_cond_adjoint(lat, g),
-        cond4_residual=check_cond_orthogonal_system(lat, g),
+        cond3_residual=adjoint,
+        cond4_residual=adjoint,
         cond5_residual=_fixed_point_residual(lat, g, bounds),
     )
 

@@ -5,7 +5,7 @@ residuals are compared with dense linear algebra on the analysis array
 over a pool that covers critical, 2x and 4x oversampled, a = b = 1 and
 over-dense lattices, with Gaussian, tight, coset-zero and near-singular
 windows. Also: the one frame gate at its boundary, scale-aware tightness,
-and the memory bound of classify.
+and the memory bounds of classify and dual_space.
 """
 
 import json
@@ -23,9 +23,11 @@ from whframe import (
     check_cond_orthogonal_system,
     classify,
     cross_correlation_table,
+    dual_space,
     frame_bounds,
     frame_operator,
     inner,
+    make_alternate_dual,
     norm_sq,
     random_tight_generator,
     reconstruct,
@@ -33,6 +35,7 @@ from whframe import (
 )
 from whframe.cli import main
 from whframe.correlation import adjoint_products
+from whframe.duality import RANK_TOL, _residue_complement
 from whframe.frame import FRAME_FLOOR, FrameBounds, _translate_folds, _walnut_blocks
 from whframe.oracle import (
     analysis_array,
@@ -144,6 +147,29 @@ class TestAgainstOracle:
         expected = max(gap, float(np.max(np.abs(np.triu(gram, 1)), initial=0.0)))
         assert check_cond_orthogonal_system(lat, g) == pytest.approx(expected, rel=REL)
 
+    def test_residue_class_dual_space(self, lat, kind, g):
+        atoms = np.stack([adjoint_atom(lat, g, k, l) for k in range(lat.a) for l in range(lat.b)])
+        s = np.linalg.svd(atoms, compute_uv=False)
+        rank = int(np.sum(s > RANK_TOL * s[0]))
+        ranks, basis = _residue_complement(lat, g)
+        if kind == "coset0" and lat.a > 1 and lat.q % lat.a == 0:
+            # every row of V_s samples class s, so the zeroed class has rank 0
+            assert len(set(ranks.tolist())) > 1
+        if classify(lat, g).is_frame:
+            space = dual_space(lat, g)
+            assert space.orbit_rank == int(np.sum(ranks))
+            assert np.array_equal(space.complement_basis, basis)
+            coeffs = random_signal(np.random.default_rng(lat.L + 2), space.dimension)
+            assert oracle_is_dual(lat, g, make_alternate_dual(lat, g, coeffs))
+        else:
+            with pytest.raises(NotAFrameError):
+                dual_space(lat, g)
+        assert int(np.sum(ranks)) == rank
+        assert basis.shape == (lat.L - rank, lat.L)
+        assert np.max(np.abs(basis @ np.conj(basis.T) - np.eye(len(basis))), initial=0.0) <= REL
+        overlaps = np.abs(np.conj(atoms) @ basis.T)
+        assert np.max(overlaps, initial=0.0) <= REL * np.linalg.norm(g)
+
     def test_tight_constant(self, lat, kind, g):
         report, c = classify(lat, g), oracle_tight_constant(lat, g)
         assert (report.tight_constant is None) == (c is None)
@@ -213,6 +239,20 @@ def test_scaled_tight_window_keeps_its_constant(L, a, b, scale):
     assert report.is_frame and not report.normalized_tight
     assert report.tight_constant == pytest.approx(scale**2, rel=1e-9)
     assert oracle_tight_constant(lat, g) == pytest.approx(scale**2, rel=1e-9)
+
+
+def test_dual_space_memory():
+    # the a*b x L atom stack's SVD would hold an L x L Vh alone
+    lat = GaborLattice(480, 16, 15)
+    g = random_signal(np.random.default_rng(13), lat.L)
+    tracemalloc.start()
+    try:
+        space = dual_space(lat, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.dimension == lat.L - lat.a * lat.b
+    assert peak < 16 * lat.L**2
 
 
 def test_classify_memory_at_unit_steps():

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from whframe.cli import JobConfig, main, parse_signal_file, run
+from whframe import GaborLattice, classify, random_tight_generator
+from whframe import cli
+from whframe.cli import JobConfig, _lattice_dict, main, parse_signal_file, run
 
 ROOT2_INV = repr(2 ** -0.5)  # full-precision 1/sqrt(2)
 
@@ -111,6 +113,17 @@ class TestExitCodes:
         assert main(["dual", "--input", impulse_path]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "NotAFrameError"
 
+    def test_memory_error_exits_2(self, box_path, capsys, monkeypatch):
+        def exhausted(data, config):
+            raise MemoryError("Unable to allocate 14.0 GiB")
+
+        monkeypatch.setitem(cli._HANDLERS, "bounds", exhausted)
+        assert main(["bounds", "--input", box_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": {"type": "MemoryError", "message": "Unable to allocate 14.0 GiB"}}
+
     def test_csv_format_rejected_outside_profile(self, box_path, capsys):
         assert main(["bounds", "--input", box_path, "--format", "csv"]) == 2
 
@@ -173,6 +186,16 @@ class TestReports:
         report = json.loads(capsys.readouterr().out)
         assert report["columns"] == ["k", "x", "re", "im", "abs"]
         assert len(report["rows"]) == 8
+
+
+def test_numpy_integer_lattice_serializes():
+    lat = GaborLattice(np.int64(48), np.int64(4), np.int64(6))
+    assert all(type(v) is int for v in (lat.L, lat.a, lat.b))
+    assert lat == GaborLattice(48, 4, 6)
+    assert json.loads(json.dumps(_lattice_dict(lat)))["q"] == 8
+    report = classify(lat, random_tight_generator(lat, 1))
+    assert report.normalized_tight
+    json.dumps(report.to_dict())
 
 
 class TestDualCommands:

@@ -1,5 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import whframe
 
 from whframe import GaborLattice, canonical_dual, classify, frame_bounds, gabor_atom, inner
 from whframe.oracle import (
@@ -133,3 +138,16 @@ class TestOracleAgreesWithFastPaths:
         fast, slow = frame_bounds(lat, g), oracle_frame_bounds(lat, g)
         assert abs(fast.A - slow.A) <= 1e-9
         assert abs(fast.B - slow.B) <= 1e-9
+
+
+def test_only_the_oracle_lists_atoms():
+    """Production modules read folds and Walnut blocks, never atom lists."""
+    for path in sorted(Path(whframe.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name != "adjoint_atoms", path.name
+            if isinstance(node, ast.Call) and path.name != "oracle.py":
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                assert name not in ("gabor_atom", "adjoint_atom"), f"{path.name}:{node.lineno}"
