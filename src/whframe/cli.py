@@ -29,10 +29,10 @@ import numpy as np
 
 from .correlation import correlation_profile, frame_energy_split, walnut_upper_bound
 from .duality import decompose_dual, dual_space, wexler_raz_check
-from .frame import frame_bounds, norm_audit, walnut_apply
+from .frame import _FrameAnalysis, _norm_audit, frame_bounds, walnut_apply
 from .lattice import GaborLattice, as_signal, dft, norm_sq
 from .synthesis import PhaseSpec, random_tight_generator, tight_generator_from_phases
-from .tightness import classify, density_diagnostics
+from .tightness import _classify, _density_diagnostics, classify
 
 __all__ = ["JobConfig", "parse_signal_file", "run", "main", "entry_point"]
 
@@ -132,7 +132,8 @@ def _require(data: ParsedInput, *names: str) -> list[np.ndarray]:
 
 
 def _pairs(s: np.ndarray) -> list[list[float]]:
-    return [[z.real, z.imag] for z in np.asarray(s, dtype=np.complex128)]
+    s = np.asarray(s, dtype=np.complex128)
+    return np.stack([s.real, s.imag], axis=-1).tolist()
 
 
 def _lattice_dict(lat: GaborLattice) -> dict:
@@ -150,14 +151,15 @@ def _constants(lat: GaborLattice) -> dict:
 
 def _cmd_analyze(data: ParsedInput, config: JobConfig):
     (g,) = _require(data, "g")
-    report = classify(data.lat, g, config.tol)
+    analysis = _FrameAnalysis(data.lat, g)
+    report = _classify(analysis, config.tol)
     out = {
         "lattice": _lattice_dict(data.lat),
         "constants": _constants(data.lat),
         "tightness": report.to_dict(),
-        "norm_audit": norm_audit(data.lat, g, config.tol).to_dict(),
+        "norm_audit": _norm_audit(analysis, config.tol).to_dict(),
         "density_diagnostics": (
-            density_diagnostics(data.lat, g).to_dict() if report.is_frame else None
+            _density_diagnostics(analysis).to_dict() if report.is_frame else None
         ),
     }
     return (0 if report.is_frame else 1), out

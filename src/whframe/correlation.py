@@ -68,7 +68,7 @@ def _folds(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:
     require_length(lat, h, g)
     h = np.asarray(h, dtype=np.complex128)
     g = np.asarray(g, dtype=np.complex128)
-    lagged = np.conj(np.stack([np.roll(g, l * lat.q) for l in range(lat.b)]))
+    lagged = np.conj(g[(np.arange(lat.L) - lat.q * np.arange(lat.b)[:, None]) % lat.L])
     return (h * lagged).reshape(lat.b, lat.N, lat.a).sum(axis=1)
 
 

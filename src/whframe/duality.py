@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import adjoint_products, cross_correlation_table
+from .correlation import _folds
 from .frame import canonical_dual
 from .lattice import GaborLattice, require_length
 
@@ -63,11 +63,17 @@ class DualSpace:
         return self.lat.L - self.orbit_rank
 
     def to_dict(self) -> dict:
+        """Each basis row as its residue class s and its N values at
+        x = s + t*a, as [re, im] pairs; the row is zero elsewhere."""
+        lat, basis = self.lat, self.complement_basis
+        residues = np.argmax(np.abs(basis), axis=1) % lat.a
+        values = basis.reshape(-1, lat.N, lat.a)[np.arange(len(basis)), :, residues]
+        pairs = np.stack([values.real, values.imag], axis=-1).tolist()
         return {
             "orbit_rank": self.orbit_rank,
             "dimension": self.dimension,
             "complement_basis": [
-                [[z.real, z.imag] for z in row] for row in self.complement_basis
+                {"residue": int(s), "values": row} for s, row in zip(residues, pairs)
             ],
         }
 
@@ -100,9 +106,7 @@ def wexler_raz_check(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
     Worst of |<h, g> - a*b/L| and |<h, adjoint_atom(k, l)>| over all
     (k, l) != (0, 0); at most tol means h is a dual.
     """
-    products = adjoint_products(lat, h, g)
-    products[0, 0] -= lat.a * lat.b / lat.L
-    return float(np.max(np.abs(products)))
+    return _biorthogonality_residual(lat, _folds(lat, h, g))
 
 
 def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
@@ -111,9 +115,21 @@ def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> f
     Builds Hk[k][x] = sum_n h(x - n*a) conj(g(x - n*a - k*q)) and returns
     the worst of |Hk[0] - b/L| and |Hk[k != 0]|.
     """
-    table = cross_correlation_table(lat, h, g)
-    table[0] -= lat.b / lat.L
-    return float(np.max(np.abs(table)))
+    return _flat_residual(lat, _folds(lat, h, g))
+
+
+def _biorthogonality_residual(lat: GaborLattice, folds: np.ndarray) -> float:
+    """wexler_raz_check from the (h, g) folds: their length-a DFTs are the
+    adjoint products."""
+    products = np.fft.fft(folds, axis=1)
+    products[0, 0] -= lat.a * lat.b / lat.L
+    return float(np.max(np.abs(products)))
+
+
+def _flat_residual(lat: GaborLattice, folds: np.ndarray) -> float:
+    """dual_conditions_walnut from the (h, g) folds, which tile the table."""
+    return float(max(np.max(np.abs(folds[0] - lat.b / lat.L)),
+                     np.max(np.abs(folds[1:]), initial=0.0)))
 
 
 def _residue_complement(lat: GaborLattice, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

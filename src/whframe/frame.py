@@ -1,14 +1,18 @@
 """Frame operator, frame bounds, dual and tight windows, reconstruction.
 
 The frame operator S = sum over all M*N atoms of atom * atom^H is L x L,
-Hermitian and positive semidefinite. Its Walnut form
-S = M * sum_k diag(Gk[k]) T_{kq} splits, with x = r + j*q, into q
-Hermitian b x b blocks B_r[j, j'] = M * Gk[(j - j') % b][r + j*q]. Bounds
-(its extreme eigenvalues), S^-1 g and S^-1/2 g take one batched
-eigendecomposition of the blocks: O(L * b^2) time, O(L * b) memory. S
-commutes with every lattice operator, so S^-1 g and S^-1/2 g generate
-Weyl-Heisenberg systems again. Reconstruction and the norm audit fold
-f * conj(T_{na} h) to period M instead of listing atoms.
+Hermitian and positive semidefinite. The Zak transform splits it into
+small blocks (Zibulski-Zeevi 1997, in Strohmer's finite form): with the
+density a*b/L = p/q_w in lowest terms, c = gcd(a, M) and d = gcd(b, N),
+the unitary length-L/c DFTs of the c residue classes f(e + c*t),
+gathered by one fixed permutation, are c*d blocks Z_f of shape p x q_w,
+and S acts on every block as Z_f -> (L/p) * Z_g Z_g^H Z_f. Bounds, S^-1 g
+and S^-1/2 g take one FFT pass and one batched eigendecomposition of the
+p x p Gram blocks Z_g Z_g^H: O(L log L) time and, at density <= 1, O(L)
+memory; S f needs no eigensolver. S commutes with every lattice operator,
+so S^-1 g and S^-1/2 g generate Weyl-Heisenberg systems again.
+Reconstruction and the norm audit fold f * conj(T_{na} h) to period M
+instead of listing atoms.
 
 Near-singular operators are rejected rather than inverted: one gate,
 A > FRAME_FLOOR * B, decides "frame" everywhere in the package.
@@ -17,6 +21,8 @@ A > FRAME_FLOOR * B, decides "frame" everywhere in the package.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property, lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -78,22 +84,78 @@ class NormAudit:
         return asdict(self)
 
 
-def _walnut_blocks(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
-    """The q diagonal blocks of S, shape (q, b, b); block r acts on fiber r."""
-    table = cross_correlation_table(lat, g, g)
-    j = np.arange(lat.b)
-    x = np.arange(lat.q)[:, None, None] + lat.q * j[None, :, None]
-    return lat.M * table[(j[:, None] - j[None, :]) % lat.b, x]
+@lru_cache(maxsize=64)
+def _zak_layout(lat: GaborLattice) -> tuple[int, np.ndarray]:
+    """c = gcd(a, M) and the gather W of shape (d, p, q_w), d = gcd(b, N).
+
+    W[e, i, k] is the unique w in Z_{L/c} with w = -(e + i*d) mod b and
+    w = k*d - e mod N. L/c = lcm(b, N) and the two congruences agree mod d,
+    so W is a permutation of Z_{L/c}.
+    """
+    c, d = gcd(lat.a, lat.M), gcd(lat.b, lat.N)
+    w = np.arange(lat.L // c)
+    e = -w % d
+    W = np.empty((d, lat.b // d, lat.N // d), dtype=np.intp)
+    W[e, (-w - e) % lat.b // d, (w + e) % lat.N // d] = w
+    W.flags.writeable = False
+    return c, W
 
 
-def _fibers(lat: GaborLattice, f: np.ndarray) -> np.ndarray:
-    """f as q fibers: row r holds f(r + j*q), j in [0, b), shape (q, b)."""
-    return np.asarray(f, dtype=np.complex128).reshape(lat.b, lat.q).T
+class _FrameAnalysis:
+    """The Zak blocks of one (lattice, window) pair, shape (c, d, p, q_w).
 
+    Every frame quantity of the window reads from one instance: the bounds
+    and the spectral powers of S from one batched eigh of the p x p Gram
+    blocks (computed on first use), S f from the Gram blocks alone.
+    """
 
-def _bounds(w: np.ndarray) -> FrameBounds:
-    """Frame bounds from the block eigenvalues."""
-    return FrameBounds(A=max(float(np.min(w)), 0.0), B=max(float(np.max(w)), 0.0))
+    def __init__(self, lat: GaborLattice, g: np.ndarray):
+        require_length(lat, g)
+        self.lat = lat
+        self.g = np.asarray(g, dtype=np.complex128)
+        self.c, self.W = _zak_layout(lat)
+        self.Z = self.forward(self.g)
+        self.gram = self.Z @ np.conj(np.swapaxes(self.Z, -1, -2))
+        self.scale = lat.L / self.W.shape[1]  # L/p
+
+    def forward(self, f: np.ndarray) -> np.ndarray:
+        """Zak blocks of f: gathered unitary DFTs of its c residue classes."""
+        classes = np.asarray(f, dtype=np.complex128).reshape(-1, self.c).T
+        return np.fft.fft(classes, axis=1, norm="ortho")[:, self.W]
+
+    def inverse(self, Z: np.ndarray) -> np.ndarray:
+        """The signal whose Zak blocks are Z: scatter, then inverse DFTs."""
+        spectra = np.empty((self.c, self.lat.L // self.c), dtype=np.complex128)
+        spectra[:, self.W] = Z
+        return np.fft.ifft(spectra, axis=1, norm="ortho").T.reshape(self.lat.L)
+
+    @cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues of S on each block (ascending) and their vectors."""
+        w, U = np.linalg.eigh(self.gram)
+        return self.scale * w, U
+
+    @cached_property
+    def bounds(self) -> FrameBounds:
+        """Extreme block eigenvalues; A = 0 when p > q_w (rank <= q_w)."""
+        w = self.eig[0]
+        p, q_w = self.W.shape[1:]
+        A = max(float(np.min(w)), 0.0) if p <= q_w else 0.0
+        return FrameBounds(A=A, B=max(float(np.max(w)), 0.0))
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """S f = inverse((L/p) * Z_g Z_g^H Z_f), no eigensolver."""
+        return self.inverse(self.scale * self.gram @ self.forward(f))
+
+    def power(self, power: float) -> np.ndarray:
+        """S^power g, raising NotAFrameError when S is near-singular."""
+        bounds = self.bounds
+        if not bounds.is_frame:
+            raise NotAFrameError(f"lower frame bound {bounds.A:.3e} vanishes "
+                                 f"(upper bound {bounds.B:.3e})")
+        w, U = self.eig
+        coeffs = (np.conj(np.swapaxes(U, -1, -2)) @ self.Z) * w[..., None] ** power
+        return self.inverse(U @ coeffs)
 
 
 def frame_operator(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
@@ -107,36 +169,25 @@ def frame_operator(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
 
 
 def walnut_apply(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Apply S to f block by block, without assembling S; this is the
+    """Apply S to f on the Zak blocks, without assembling S; equal to the
     diagonal-sum form output(x) = M * sum_{k<b} Gk[k][x] * f(x - k*q)."""
     require_length(lat, g, f)
-    return np.einsum("rij,rj->ri", _walnut_blocks(lat, g), _fibers(lat, f)).T.reshape(lat.L)
+    return _FrameAnalysis(lat, g).apply(f)
 
 
 def frame_bounds(lat: GaborLattice, g: np.ndarray) -> FrameBounds:
-    """Optimal bounds: extreme eigenvalues over all Walnut blocks of S."""
-    return _bounds(np.linalg.eigvalsh(_walnut_blocks(lat, g)))
-
-
-def _spectral_apply(lat: GaborLattice, g: np.ndarray, power: float) -> np.ndarray:
-    """S^power g by blocks, raising NotAFrameError when S is near-singular."""
-    w, V = np.linalg.eigh(_walnut_blocks(lat, g))
-    bounds = _bounds(w)
-    if not bounds.is_frame:
-        raise NotAFrameError(f"lower frame bound {bounds.A:.3e} vanishes "
-                             f"(upper bound {bounds.B:.3e})")
-    coeffs = np.einsum("rji,rj->ri", np.conj(V), _fibers(lat, g)) * w ** power
-    return np.einsum("rij,rj->ri", V, coeffs).T.reshape(lat.L)
+    """Optimal bounds: extreme eigenvalues over all Zak blocks of S."""
+    return _FrameAnalysis(lat, g).bounds
 
 
 def canonical_dual(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
     """The canonical dual window S^-1 g."""
-    return _spectral_apply(lat, g, -1.0)
+    return _FrameAnalysis(lat, g).power(-1.0)
 
 
 def tighten(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
     """The canonical tight window S^-1/2 g; its own frame operator is I."""
-    return _spectral_apply(lat, g, -0.5)
+    return _FrameAnalysis(lat, g).power(-0.5)
 
 
 def _translates(lat: GaborLattice, s: np.ndarray) -> np.ndarray:
@@ -169,21 +220,29 @@ def reconstruct(lat: GaborLattice, g: np.ndarray, h: np.ndarray, f: np.ndarray) 
 
 
 def norm_audit(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> NormAudit:
-    """Check norm_sq(g) <= B; at equality, check g against all other atoms."""
-    B = frame_bounds(lat, g).B
+    """Check norm_sq(g) <= B; at equality, check g against all other atoms.
+
+    Both comparisons are relative (to B and to norm_sq(g)), so no verdict
+    changes when g is scaled.
+    """
+    return _norm_audit(_FrameAnalysis(lat, g), tol)
+
+
+def _norm_audit(analysis: _FrameAnalysis, tol: float) -> NormAudit:
+    lat, g, B = analysis.lat, analysis.g, analysis.bounds.B
     nsq = norm_sq(g)
-    at_bound = abs(nsq - B) <= tol
+    at_bound = abs(nsq - B) <= tol * B
     max_overlap = orthogonal = None
     if at_bound:
         # entry [n, m] is <g, atom(m, n)>; (0, 0) is the window itself
         overlaps = np.abs(np.fft.fft(_translate_folds(lat, g, g), axis=1))
         overlaps[0, 0] = 0.0
         max_overlap = float(np.max(overlaps))
-        orthogonal = max_overlap <= tol
+        orthogonal = max_overlap <= tol * nsq
     return NormAudit(
         norm_sq=nsq,
         upper_bound=B,
-        within_bound=nsq <= B + tol,
+        within_bound=nsq <= B + tol * B,
         at_bound=at_bound,
         max_overlap=max_overlap,
         orthogonal_to_rest=orthogonal,

@@ -26,9 +26,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .correlation import adjoint_products
-from .duality import dual_conditions_walnut, wexler_raz_check
-from .frame import FrameBounds, canonical_dual, frame_bounds, walnut_apply
+from .correlation import _folds, adjoint_products
+from .duality import (
+    _biorthogonality_residual,
+    _flat_residual,
+    dual_conditions_walnut,
+    wexler_raz_check,
+)
+from .frame import FrameBounds, _FrameAnalysis
 from .lattice import GaborLattice, dft, inner, norm_sq
 
 __all__ = [
@@ -116,9 +121,10 @@ def check_cond_orthogonal_system(lat: GaborLattice, g: np.ndarray) -> float:
     return check_cond_adjoint(lat, g)
 
 
-def _fixed_point_residual(lat: GaborLattice, g: np.ndarray, bounds: FrameBounds) -> float:
-    residual = float(np.max(np.abs(walnut_apply(lat, g, g) - g)))
-    return residual if bounds.is_frame else max(residual, 1.0)
+def _fixed_point_residual(analysis: _FrameAnalysis) -> float:
+    g = analysis.g
+    residual = float(np.max(np.abs(analysis.apply(g) - g)))
+    return residual if analysis.bounds.is_frame else max(residual, 1.0)
 
 
 def check_cond_fixed_point(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> float:
@@ -129,7 +135,7 @@ def check_cond_fixed_point(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) 
     floored at 1 when the bounds fail the frame gate. tol is unused: the
     gate is FRAME_FLOOR, as everywhere.
     """
-    return _fixed_point_residual(lat, g, frame_bounds(lat, g))
+    return _fixed_point_residual(_FrameAnalysis(lat, g))
 
 
 def classify(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> TightnessReport:
@@ -137,13 +143,19 @@ def classify(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> TightnessRe
 
     Tight means B - A <= tol * B, so no verdict changes when g is scaled.
     """
-    bounds = frame_bounds(lat, g)
+    return _classify(_FrameAnalysis(lat, g), tol)
+
+
+def _classify(analysis: _FrameAnalysis, tol: float) -> TightnessReport:
+    """classify on one Zak analysis; criteria (2)-(4) read one (g, g) fold."""
+    lat, g, bounds = analysis.lat, analysis.g, analysis.bounds
     is_frame = bounds.is_frame
     tight = bounds.B - bounds.A <= tol * bounds.B
     tight_constant = (bounds.A + bounds.B) / 2 if tight else None
     normalized_tight = abs(bounds.A - 1.0) <= tol and abs(bounds.B - 1.0) <= tol
     onb = normalized_tight and abs(norm_sq(g) ** 0.5 - 1.0) <= tol
-    adjoint = check_cond_adjoint(lat, g)  # criteria (3) and (4)
+    folds = _folds(lat, g, g)
+    adjoint = _biorthogonality_residual(lat, folds)  # criteria (3) and (4)
     return TightnessReport(
         bounds=bounds,
         is_frame=is_frame,
@@ -151,16 +163,21 @@ def classify(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> TightnessRe
         normalized_tight=normalized_tight,
         onb=onb,
         riesz_basis=is_frame and lat.atom_count == lat.L,
-        cond2_residual=check_cond_walnut(lat, g),
+        cond2_residual=_flat_residual(lat, folds),
         cond3_residual=adjoint,
         cond4_residual=adjoint,
-        cond5_residual=_fixed_point_residual(lat, g, bounds),
+        cond5_residual=_fixed_point_residual(analysis),
     )
 
 
 def density_diagnostics(lat: GaborLattice, g: np.ndarray) -> DensityReport:
     """Frame identities around the canonical dual; raises for non-frames."""
-    dual = canonical_dual(lat, g)
+    return _density_diagnostics(_FrameAnalysis(lat, g))
+
+
+def _density_diagnostics(analysis: _FrameAnalysis) -> DensityReport:
+    lat, g = analysis.lat, analysis.g
+    dual = analysis.power(-1.0)
     pairing = inner(dual, g)
     expected = lat.a * lat.b / lat.L
     off_origin = np.abs(adjoint_products(lat, dual, g)).ravel()[1:]

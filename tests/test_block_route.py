@@ -1,9 +1,9 @@
-"""The block (Walnut) route against the brute-force oracle.
+"""The block (Zak) route against the brute-force oracle.
 
 Bounds, spectra, duals, tight windows, reconstructions and the adjoint
 residuals are compared with dense linear algebra on the analysis array
-over a pool that covers critical, 2x and 4x oversampled, a = b = 1 and
-over-dense lattices, with Gaussian, tight, coset-zero and near-singular
+over a pool that covers critical, 2x and 4x oversampled, a = b = 1,
+over-dense and density-2/3 lattices, with Gaussian, tight, coset-zero and near-singular
 windows. Also: the one frame gate at its boundary, scale-aware tightness,
 and the memory bounds of classify and dual_space.
 """
@@ -36,7 +36,7 @@ from whframe import (
 from whframe.cli import main
 from whframe.correlation import adjoint_products
 from whframe.duality import RANK_TOL, _residue_complement
-from whframe.frame import FRAME_FLOOR, FrameBounds, _translate_folds, _walnut_blocks
+from whframe.frame import FRAME_FLOOR, FrameBounds, _FrameAnalysis, _translate_folds
 from whframe.oracle import (
     analysis_array,
     oracle_adjoint_gram,
@@ -54,6 +54,7 @@ LATTICES = [
     (16, 2, 2), (24, 2, 3), (48, 4, 3),     # 4x oversampled
     (12, 1, 1), (48, 1, 1),                 # a = b = 1
     (12, 4, 6), (16, 8, 4),                 # over-dense
+    (36, 4, 6), (60, 4, 10),                # density 2/3: 2 x 3 Zak blocks
 ]
 
 
@@ -96,8 +97,12 @@ def rel_err(x, y):
 @pytest.mark.parametrize("lat,kind,g", POOL, ids=IDS)
 class TestAgainstOracle:
     def test_block_spectrum_is_dense_spectrum(self, lat, kind, g):
-        blocks = _walnut_blocks(lat, g)
-        fast = np.sort(np.linalg.eigvalsh(blocks).ravel())
+        # each block's top min(p, q_w) Gram eigenvalues, q_w times each
+        Z = _FrameAnalysis(lat, g).Z
+        p, q_w = Z.shape[-2:]
+        gram = np.linalg.eigvalsh(Z @ np.conj(np.swapaxes(Z, -1, -2)))
+        top = np.repeat(lat.L / p * gram[..., p - min(p, q_w):].ravel(), q_w)
+        fast = np.sort(np.concatenate([top, np.zeros(lat.L - top.size)]))
         dense = np.linalg.eigvalsh(oracle_operator(lat, g))
         assert rel_err(fast, dense) <= REL
 

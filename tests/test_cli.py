@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from whframe import GaborLattice, classify, random_tight_generator
+from whframe import GaborLattice, classify, dual_space, random_tight_generator
 from whframe import cli
 from whframe.cli import JobConfig, _lattice_dict, main, parse_signal_file, run
 
@@ -205,6 +205,20 @@ class TestDualCommands:
         assert report["dual_space"]["orbit_rank"] == 2
         assert report["dual_space"]["dimension"] == 2
         assert report["canonical_dual"][0][0] == pytest.approx(2 ** -0.5)
+
+    @pytest.mark.parametrize("L,a,b", [(4, 1, 2), (24, 2, 3), (48, 4, 6), (60, 4, 10)])
+    def test_dual_rows_expand_to_complement_basis(self, tmp_path, capsys, L, a, b):
+        lat = GaborLattice(L, a, b)
+        g = np.random.default_rng(L).standard_normal((L, 2))
+        path = write_input(tmp_path, "g.json", {"L": L, "a": a, "b": b, "g": g.tolist()})
+        assert main(["dual", "--input", path]) == 0
+        rows = json.loads(capsys.readouterr().out)["dual_space"]["complement_basis"]
+        expanded = np.zeros((len(rows), L), dtype=complex)
+        for i, row in enumerate(rows):
+            assert len(row["values"]) == lat.N
+            expanded[i, row["residue"]::a] = np.array(row["values"]).view(complex)[:, 0]
+        basis = dual_space(lat, g.view(complex)[:, 0]).complement_basis
+        assert np.array_equal(expanded, basis)
 
     def test_verify_dual_accepts_alternate(self, tmp_path, capsys):
         g = [[float(ROOT2_INV), 0], [0, 0], [0, 0], [0, 0]]

@@ -13,6 +13,7 @@ from whframe import (
     inner,
     norm_audit,
     norm_sq,
+    random_tight_generator,
     reconstruct,
     tighten,
     walnut_apply,
@@ -238,6 +239,20 @@ class TestNormAudit:
         audit = norm_audit(lat, g)
         assert audit.within_bound
         assert norm_sq(g) <= audit.upper_bound + 1e-9 * (1 + norm_sq(g))
+
+    @pytest.mark.parametrize("L,a,b", [(48, 6, 8), (48, 4, 6)])
+    @pytest.mark.parametrize("scale", [1e-5, 1e3, 1e5])
+    def test_verdicts_do_not_depend_on_scale(self, L, a, b, scale):
+        # critical tight: at the bound and orthogonal; 2x tight: below it
+        lat = GaborLattice(L, a, b)
+        g = random_tight_generator(lat, 5)
+        verdicts = [
+            (audit.within_bound, audit.at_bound, audit.orthogonal_to_rest)
+            for audit in (norm_audit(lat, g), norm_audit(lat, scale * g))
+        ]
+        at_bound = lat.is_critical
+        assert verdicts[0] == (True, at_bound, True if at_bound else None)
+        assert verdicts[1] == verdicts[0]
 
     def test_tight_report_consistency(self, box):
         lat, g = box

@@ -141,7 +141,7 @@ class TestOracleAgreesWithFastPaths:
 
 
 def test_only_the_oracle_lists_atoms():
-    """Production modules read folds and Walnut blocks, never atom lists."""
+    """Production modules read folds and Zak blocks, never atom lists."""
     for path in sorted(Path(whframe.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):

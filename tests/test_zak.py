@@ -1,0 +1,122 @@
+"""The Zak-block kernel: properties over generated lattices, its memory
+bound, and one kernel build per window in the library and the CLI.
+
+Every frame quantity reads the p x q_w Zak blocks of one _FrameAnalysis;
+the brute-force oracle shares none of that code.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from whframe import (
+    GaborLattice,
+    NotAFrameError,
+    canonical_dual,
+    classify,
+    frame_bounds,
+    tighten,
+    walnut_apply,
+)
+from whframe import tightness
+from whframe.cli import main
+from whframe.frame import _FrameAnalysis
+from whframe.oracle import oracle_frame_bounds, oracle_is_dual, oracle_tight_constant
+from helpers import divisors, oracle_operator, random_signal
+
+REL = 1e-9
+
+
+@st.composite
+def lattices(draw, max_L=48):
+    L = draw(st.integers(1, max_L))
+    return GaborLattice(L, draw(st.sampled_from(divisors(L))), draw(st.sampled_from(divisors(L))))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(lat=lattices(), seed=st.integers(0, 2**32 - 1))
+def test_zak_kernel_against_oracle(lat, seed):
+    rng = np.random.default_rng(seed)
+    g, f = random_signal(rng, lat.L), random_signal(rng, lat.L)
+    analysis = _FrameAnalysis(lat, g)
+    assert np.max(np.abs(analysis.inverse(analysis.forward(f)) - f)) <= 1e-12 * np.max(np.abs(f))
+    Sf = oracle_operator(lat, g) @ f
+    assert np.max(np.abs(walnut_apply(lat, g, f) - Sf)) <= REL * np.max(np.abs(Sf))
+    fast, slow = analysis.bounds, oracle_frame_bounds(lat, g)
+    assert abs(fast.A - slow.A) <= REL * slow.B
+    assert abs(fast.B - slow.B) <= REL * slow.B
+    if lat.a * lat.b > lat.L:  # fewer atoms than L: S has a kernel
+        assert fast.A == slow.A == 0.0
+    if not fast.is_frame:
+        with pytest.raises(NotAFrameError):
+            canonical_dual(lat, g)
+        with pytest.raises(NotAFrameError):
+            tighten(lat, g)
+        return
+    assert oracle_is_dual(lat, g, canonical_dual(lat, g))
+    assert oracle_tight_constant(lat, tighten(lat, g)) == pytest.approx(1.0, rel=REL)
+
+
+@pytest.mark.parametrize("L,a,b", [(12, 4, 6), (16, 8, 4), (48, 8, 12), (24, 6, 8)])
+def test_over_dense_lower_bound_is_exactly_zero(L, a, b):
+    # p > q_w: the p x p Gram blocks have rank q_w, and their smallest
+    # eigenvalue comes out as roundoff of either sign
+    lat = GaborLattice(L, a, b)
+    rng = np.random.default_rng(L)
+    assert all(frame_bounds(lat, random_signal(rng, L)).A == 0.0 for _ in range(300))
+
+
+@pytest.mark.parametrize("fn", [frame_bounds, canonical_dual, tighten])
+def test_kernel_memory_is_linear(fn):
+    # 64 complex values per sample; b x b Walnut blocks alone would take 14.7 MB
+    lat = GaborLattice(1920, 2, 480)
+    g = random_signal(np.random.default_rng(14), lat.L)
+    tracemalloc.start()
+    try:
+        fn(lat, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * lat.L * 16
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Lattices of every _FrameAnalysis built, and the count of (g, g) folds."""
+    seen = {"lattices": [], "folds": 0}
+    init, folds = _FrameAnalysis.__init__, tightness._folds
+
+    def counting_init(self, lat, g):
+        seen["lattices"].append(lat)
+        init(self, lat, g)
+
+    def counting_folds(*args):
+        seen["folds"] += 1
+        return folds(*args)
+
+    monkeypatch.setattr(_FrameAnalysis, "__init__", counting_init)
+    monkeypatch.setattr(tightness, "_folds", counting_folds)
+    return seen
+
+
+def test_classify_builds_one_analysis_and_one_fold(builds):
+    lat = GaborLattice(48, 4, 6)
+    classify(lat, random_signal(np.random.default_rng(15), lat.L))
+    assert builds == {"lattices": [lat], "folds": 1}
+
+
+@pytest.mark.parametrize("command,windows", [
+    ("analyze", 1), ("check-tight", 1), ("fourier-dual", 2), ("bounds", 1), ("dual", 1),
+])
+def test_cli_builds_one_analysis_per_window(builds, tmp_path, capsys, command, windows):
+    lat = GaborLattice(48, 4, 6)
+    g = np.random.default_rng(16).standard_normal((lat.L, 2))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"L": lat.L, "a": lat.a, "b": lat.b, "g": g.tolist()}))
+    assert main([command, "--input", str(path)]) == (1 if command == "check-tight" else 0)
+    capsys.readouterr()
+    assert builds["lattices"] == [lat, lat.swapped()][:windows]
