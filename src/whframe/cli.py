@@ -38,20 +38,6 @@ __all__ = ["JobConfig", "parse_signal_file", "run", "main", "entry_point"]
 
 DEFAULT_TOL = 1e-9
 
-COMMANDS = (
-    "analyze",
-    "check-tight",
-    "make-tight",
-    "dual",
-    "verify-dual",
-    "wexler-raz",
-    "fourier-dual",
-    "wh-identity",
-    "bounds",
-    "profile",
-)
-
-
 @dataclass(frozen=True)
 class JobConfig:
     command: str
@@ -144,9 +130,12 @@ def _lattice_dict(lat: GaborLattice) -> dict:
     }
 
 
-def _constants(lat: GaborLattice) -> dict:
-    # the flat-profile level and the dual-pairing value for this lattice
-    return {"b_over_L": lat.b / lat.L, "ab_over_L": lat.a * lat.b / lat.L}
+def _header(lat: GaborLattice) -> dict:
+    # the lattice, its flat-profile level and its dual-pairing value
+    return {
+        "lattice": _lattice_dict(lat),
+        "constants": {"b_over_L": lat.b / lat.L, "ab_over_L": lat.a * lat.b / lat.L},
+    }
 
 
 def _cmd_analyze(data: ParsedInput, config: JobConfig):
@@ -154,8 +143,7 @@ def _cmd_analyze(data: ParsedInput, config: JobConfig):
     analysis = _FrameAnalysis(data.lat, g)
     report = _classify(analysis, config.tol)
     out = {
-        "lattice": _lattice_dict(data.lat),
-        "constants": _constants(data.lat),
+        **_header(data.lat),
         "tightness": report.to_dict(),
         "norm_audit": _norm_audit(analysis, config.tol).to_dict(),
         "density_diagnostics": (
@@ -169,8 +157,7 @@ def _cmd_check_tight(data: ParsedInput, config: JobConfig):
     (g,) = _require(data, "g")
     report = classify(data.lat, g, config.tol)
     out = {
-        "lattice": _lattice_dict(data.lat),
-        "constants": _constants(data.lat),
+        **_header(data.lat),
         "tightness": report.to_dict(),
     }
     return (0 if report.normalized_tight else 1), out
@@ -185,7 +172,7 @@ def _cmd_make_tight(data: ParsedInput, config: JobConfig):
         "L": data.lat.L, "a": data.lat.a, "b": data.lat.b,
         "g": _pairs(g),
         "norm_sq": norm_sq(g),
-        "constants": _constants(data.lat),
+        "constants": _header(data.lat)["constants"],
     }
     return 0, out
 
@@ -194,8 +181,7 @@ def _cmd_dual(data: ParsedInput, config: JobConfig):
     (g,) = _require(data, "g")
     space = dual_space(data.lat, g)
     out = {
-        "lattice": _lattice_dict(data.lat),
-        "constants": _constants(data.lat),
+        **_header(data.lat),
         "canonical_dual": _pairs(space.canonical_dual),
         "dual_space": space.to_dict(),
     }
@@ -206,8 +192,7 @@ def _cmd_verify_dual(data: ParsedInput, config: JobConfig):
     g, h = _require(data, "g", "h")
     report = decompose_dual(data.lat, g, h, config.tol)
     out = {
-        "lattice": _lattice_dict(data.lat),
-        "constants": _constants(data.lat),
+        **_header(data.lat),
         "dual_report": report.to_dict(),
     }
     return (0 if report.is_dual else 1), out
@@ -217,8 +202,7 @@ def _cmd_wexler_raz(data: ParsedInput, config: JobConfig):
     g, h = _require(data, "g", "h")
     residual = wexler_raz_check(data.lat, g, h)
     out = {
-        "lattice": _lattice_dict(data.lat),
-        "constants": _constants(data.lat),
+        **_header(data.lat),
         "residual": residual,
         "is_dual": residual <= config.tol,
     }
@@ -249,8 +233,7 @@ def _cmd_wh_identity(data: ParsedInput, config: JobConfig):
     residual = abs(f1 + f2.real - energy)
     holds = residual <= config.tol * scale and abs(f2.imag) <= config.tol * scale
     out = {
-        "lattice": _lattice_dict(data.lat),
-        "constants": _constants(data.lat),
+        **_header(data.lat),
         "F1": f1,
         "F2": f2.real,
         "F2_imag": f2.imag,
@@ -265,8 +248,7 @@ def _cmd_bounds(data: ParsedInput, config: JobConfig):
     (g,) = _require(data, "g")
     bounds = frame_bounds(data.lat, g)
     out = {
-        "lattice": _lattice_dict(data.lat),
-        "constants": _constants(data.lat),
+        **_header(data.lat),
         "bounds": bounds.to_dict(),
         "walnut_upper_bound": walnut_upper_bound(data.lat, g),
     }
@@ -298,6 +280,8 @@ _HANDLERS = {
     "bounds": _cmd_bounds,
     "profile": _cmd_profile,
 }
+
+COMMANDS = tuple(_HANDLERS)
 
 
 def _write_output(text: str, path: str | None) -> None:

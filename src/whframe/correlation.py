@@ -9,8 +9,11 @@ at the adjoint-lattice shifts k*q, k in [0, b). The shift k*q repeats mod L
 with period b, so b rows capture every distinct lag exactly. The k = 0 row
 is the lattice power profile; it is real, nonnegative and a-periodic.
 
-These tables drive the tightness tests, the frame operator's diagonal-sum
-form, and the quadratic energy split used by the reconstruction identity.
+One fold serves both lattices and the dual space: the period-a fold of
+h * conj(T_{lq} g), shape (b, a), tiles to the table, its length-a DFTs
+are the adjoint products, its lagged gather of g holds the residue-class
+matrices of the dual space, and on the adjoint lattice (q, p) its DFTs
+are the Gabor coefficients <h, atom_g(m, n)>.
 """
 
 from __future__ import annotations
@@ -61,15 +64,21 @@ class CorrelationProfile:
         return "\n".join(lines) + "\n"
 
 
+def _lagged(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
+    """G[l, t, s] = g(s + t*a - l*q), shape (b, N, a); G[:, :, s] is the
+    residue-class matrix V_s of the dual space."""
+    x = np.arange(lat.L) - lat.q * np.arange(lat.b)[:, None]
+    return np.asarray(g, dtype=np.complex128)[x % lat.L].reshape(lat.b, lat.N, lat.a)
+
+
 def _folds(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """F[l, s] = sum_t h(s + t*a) * conj(g(s + t*a - l*q)), shape (b, a):
     the period-a folds of h * conj(T_{lq} g), O(b*L) work. Tiled, they are
-    the cross-correlation table; their length-a DFTs, the adjoint products."""
+    the cross-correlation table; their length-a DFTs, the adjoint products.
+    On GaborLattice(L, q, p), row n folds h * conj(T_{na} g) to period M."""
     require_length(lat, h, g)
-    h = np.asarray(h, dtype=np.complex128)
-    g = np.asarray(g, dtype=np.complex128)
-    lagged = np.conj(g[(np.arange(lat.L) - lat.q * np.arange(lat.b)[:, None]) % lat.L])
-    return (h * lagged).reshape(lat.b, lat.N, lat.a).sum(axis=1)
+    h = np.asarray(h, dtype=np.complex128).reshape(lat.N, lat.a)
+    return (h * np.conj(_lagged(lat, g))).sum(axis=1)
 
 
 def cross_correlation_table(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -118,8 +127,7 @@ def walnut_upper_bound(lat: GaborLattice, g: np.ndarray) -> float:
     test on the frame operator's diagonal-sum form); it is attained when
     the off-diagonal rows vanish, e.g. for tight windows.
     """
-    table = cross_correlation_table(lat, g, g)
-    return float(lat.M * np.max(np.sum(np.abs(table), axis=0)))
+    return float(lat.M * np.max(np.sum(np.abs(_folds(lat, g, g)), axis=0)))
 
 
 def frame_energy_split(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> tuple[float, complex]:
@@ -132,16 +140,12 @@ def frame_energy_split(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> tuple
 
     where F1 + F2 equals the coefficient energy exactly. F2 is returned as
     a complex number; its imaginary part is pure roundoff because the
-    k and b-k terms are conjugate.
+    k and b-k terms are conjugate. Both Gk and the lagged products of f
+    are a-periodic folds, so lag row k is M * sum_s F_gg[k, s] * conj(F_ff[k, s]).
     """
     require_length(lat, g, f)
-    f = np.asarray(f, dtype=np.complex128)
-    table = cross_correlation_table(lat, g, g)
-    f1 = float(lat.M * np.sum(np.abs(f) ** 2 * table[0].real))
-    f2 = 0j
-    for k in range(1, lat.b):
-        f2 += np.sum(np.conj(f) * np.roll(f, k * lat.q) * table[k])
-    return f1, complex(lat.M * f2)
+    rows = lat.M * np.sum(_folds(lat, g, g) * np.conj(_folds(lat, f, f)), axis=1)
+    return float(rows[0].real), complex(np.sum(rows[1:]))
 
 
 def wh_identity_terms(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> tuple[float, float]:

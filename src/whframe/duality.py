@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import _folds
+from .correlation import _folds, _lagged
 from .frame import canonical_dual
 from .lattice import GaborLattice, require_length
 
@@ -139,11 +139,11 @@ def _residue_complement(lat: GaborLattice, g: np.ndarray) -> tuple[np.ndarray, n
     for V_s[l, t] = g(s + t*a - l*q): the atom stack is unitarily equivalent
     to sqrt(a) times the block diagonal of the b x N matrices V_s. Ranks
     count singular values above RANK_TOL times the largest of all classes;
-    a null row v of V_s is placed at x = s + t*a.
+    a null row v of V_s is placed at x = s + t*a. The V_s are the fold's
+    lagged gather, read along its last axis.
     """
     t = np.arange(lat.N)
-    x = np.arange(lat.a)[:, None, None] + lat.a * t - lat.q * np.arange(lat.b)[:, None]
-    _, sv, Vh = np.linalg.svd(np.asarray(g, dtype=np.complex128)[x % lat.L])
+    _, sv, Vh = np.linalg.svd(np.moveaxis(_lagged(lat, g), -1, 0))
     ranks = np.sum(sv > RANK_TOL * np.max(sv), axis=1)
     classes, rows = np.nonzero(t >= ranks[:, None])
     basis = np.zeros((len(classes), lat.L), dtype=np.complex128)
@@ -184,8 +184,8 @@ def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray, tol: float =
     free = np.asarray(h, dtype=np.complex128) - canonical
     orbit_part = free - complement.T @ (np.conj(complement) @ free)
     in_complement = bool(np.linalg.norm(orbit_part) <= tol)
-    wr = wexler_raz_check(lat, g, h)
-    walnut = dual_conditions_walnut(lat, g, h)
+    folds = _folds(lat, h, g)
+    wr, walnut = _biorthogonality_residual(lat, folds), _flat_residual(lat, folds)
     return DualReport(
         is_dual=wr <= tol and walnut <= tol and in_complement,
         wexler_raz_residual=wr,

@@ -11,8 +11,9 @@ and S^-1/2 g take one FFT pass and one batched eigendecomposition of the
 p x p Gram blocks Z_g Z_g^H: O(L log L) time and, at density <= 1, O(L)
 memory; S f needs no eigensolver. S commutes with every lattice operator,
 so S^-1 g and S^-1/2 g generate Weyl-Heisenberg systems again.
-Reconstruction and the norm audit fold f * conj(T_{na} h) to period M
-instead of listing atoms.
+Reconstruction is the mixed operator sum <f, h_mn> g_mn, which acts on
+the blocks as Z_f -> (L/p) * Z_g Z_h^H Z_f; S is its h = g case. The norm
+audit reads the correlation fold of the adjoint lattice (q, p).
 
 Near-singular operators are rejected rather than inverted: one gate,
 A > FRAME_FLOOR * B, decides "frame" everywhere in the package.
@@ -26,7 +27,7 @@ from math import gcd
 
 import numpy as np
 
-from .correlation import cross_correlation_table
+from .correlation import _folds, cross_correlation_table
 from .errors import NotAFrameError
 from .lattice import GaborLattice, norm_sq, require_length
 
@@ -143,9 +144,11 @@ class _FrameAnalysis:
         A = max(float(np.min(w)), 0.0) if p <= q_w else 0.0
         return FrameBounds(A=A, B=max(float(np.max(w)), 0.0))
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """S f = inverse((L/p) * Z_g Z_g^H Z_f), no eigensolver."""
-        return self.inverse(self.scale * self.gram @ self.forward(f))
+    def apply(self, f: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+        """S f = inverse((L/p) * Z_g Z_g^H Z_f), no eigensolver; with a
+        second window h, sum <f, h_mn> g_mn, with Z_h^H for Z_g^H."""
+        blocks = self.gram if h is None else self.Z @ np.conj(np.swapaxes(self.forward(h), -1, -2))
+        return self.inverse(self.scale * blocks @ self.forward(f))
 
     def power(self, power: float) -> np.ndarray:
         """S^power g, raising NotAFrameError when S is near-singular."""
@@ -190,33 +193,15 @@ def tighten(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
     return _FrameAnalysis(lat, g).power(-0.5)
 
 
-def _translates(lat: GaborLattice, s: np.ndarray) -> np.ndarray:
-    """Row n is translate(s, n*a), shape (N, L)."""
-    shifts = (np.arange(lat.L) - lat.a * np.arange(lat.N)[:, None]) % lat.L
-    return np.asarray(s, dtype=np.complex128)[shifts]
-
-
-def _translate_folds(lat: GaborLattice, f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Row n folds f * conj(translate(h, n*a)) to period M, shape (N, M).
-
-    The DFT of row n gives the coefficients <f, atom_h(m, n)> over m.
-    """
-    products = np.asarray(f, dtype=np.complex128) * np.conj(_translates(lat, h))
-    return products.reshape(lat.N, lat.b, lat.M).sum(axis=1)
-
-
 def reconstruct(lat: GaborLattice, g: np.ndarray, h: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Analyze f with the atoms of h, synthesize with the atoms of g.
 
     Returns sum_{m,n} <f, atom_h(m,n)> * atom_g(m,n). This equals f for
     every f exactly when h is a dual window of g, which is the operational
-    duality test. Summing over m first leaves the mixed Walnut form
-    output(x) = M * sum_n g(x - n*a) * P_n[x mod M], with P_n the period-M
-    fold of f * conj(translate(h, n*a)).
+    duality test. On the Zak blocks of g it is Z_f -> (L/p) Z_g Z_h^H Z_f.
     """
     require_length(lat, g, h, f)
-    folds = _translate_folds(lat, f, h)
-    return lat.M * np.sum(_translates(lat, g) * np.tile(folds, lat.b), axis=0)
+    return _FrameAnalysis(lat, g).apply(f, h)
 
 
 def norm_audit(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> NormAudit:
@@ -234,8 +219,8 @@ def _norm_audit(analysis: _FrameAnalysis, tol: float) -> NormAudit:
     at_bound = abs(nsq - B) <= tol * B
     max_overlap = orthogonal = None
     if at_bound:
-        # entry [n, m] is <g, atom(m, n)>; (0, 0) is the window itself
-        overlaps = np.abs(np.fft.fft(_translate_folds(lat, g, g), axis=1))
+        # the adjoint lattice's fold, DFT'd: [n, m] is <g, atom(m, n)>, (0, 0) is g
+        overlaps = np.abs(np.fft.fft(_folds(GaborLattice(lat.L, lat.q, lat.p), g, g), axis=1))
         overlaps[0, 0] = 0.0
         max_overlap = float(np.max(overlaps))
         orthogonal = max_overlap <= tol * nsq

@@ -34,9 +34,9 @@ from whframe import (
     tighten,
 )
 from whframe.cli import main
-from whframe.correlation import adjoint_products
+from whframe.correlation import _folds, adjoint_products
 from whframe.duality import RANK_TOL, _residue_complement
-from whframe.frame import FRAME_FLOOR, FrameBounds, _FrameAnalysis, _translate_folds
+from whframe.frame import FRAME_FLOOR, FrameBounds, _FrameAnalysis
 from whframe.oracle import (
     analysis_array,
     oracle_adjoint_gram,
@@ -140,9 +140,11 @@ class TestAgainstOracle:
 
     def test_coefficients(self, lat, kind, g):
         f = random_signal(np.random.default_rng(lat.L + 1), lat.L)
-        # analysis_array rows are m-major; the folds give rows n, columns m
+        # analysis_array rows are m-major; the adjoint lattice's folds give
+        # rows n, columns m
         dense = (analysis_array(lat, g) @ f).reshape(lat.M, lat.N).T
-        assert rel_err(np.fft.fft(_translate_folds(lat, f, g), axis=1), dense) <= REL
+        folds = _folds(GaborLattice(lat.L, lat.q, lat.p), f, g)
+        assert rel_err(np.fft.fft(folds, axis=1), dense) <= REL
 
     def test_adjoint_residuals(self, lat, kind, g):
         gram = oracle_adjoint_gram(lat, g)

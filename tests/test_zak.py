@@ -18,14 +18,22 @@ from whframe import (
     NotAFrameError,
     canonical_dual,
     classify,
+    decompose_dual,
     frame_bounds,
+    make_alternate_dual,
+    reconstruct,
     tighten,
     walnut_apply,
 )
-from whframe import tightness
+from whframe import duality, tightness
 from whframe.cli import main
 from whframe.frame import _FrameAnalysis
-from whframe.oracle import oracle_frame_bounds, oracle_is_dual, oracle_tight_constant
+from whframe.oracle import (
+    analysis_array,
+    oracle_frame_bounds,
+    oracle_is_dual,
+    oracle_tight_constant,
+)
 from helpers import divisors, oracle_operator, random_signal
 
 REL = 1e-9
@@ -41,11 +49,13 @@ def lattices(draw, max_L=48):
 @given(lat=lattices(), seed=st.integers(0, 2**32 - 1))
 def test_zak_kernel_against_oracle(lat, seed):
     rng = np.random.default_rng(seed)
-    g, f = random_signal(rng, lat.L), random_signal(rng, lat.L)
+    g, h, f = random_signal(rng, lat.L), random_signal(rng, lat.L), random_signal(rng, lat.L)
     analysis = _FrameAnalysis(lat, g)
     assert np.max(np.abs(analysis.inverse(analysis.forward(f)) - f)) <= 1e-12 * np.max(np.abs(f))
     Sf = oracle_operator(lat, g) @ f
     assert np.max(np.abs(walnut_apply(lat, g, f) - Sf)) <= REL * np.max(np.abs(Sf))
+    mixed = np.conj(analysis_array(lat, g).T) @ (analysis_array(lat, h) @ f)
+    assert np.max(np.abs(reconstruct(lat, g, h, f) - mixed)) <= REL * np.max(np.abs(mixed))
     fast, slow = analysis.bounds, oracle_frame_bounds(lat, g)
     assert abs(fast.A - slow.A) <= REL * slow.B
     assert abs(fast.B - slow.B) <= REL * slow.B
@@ -70,14 +80,16 @@ def test_over_dense_lower_bound_is_exactly_zero(L, a, b):
     assert all(frame_bounds(lat, random_signal(rng, L)).A == 0.0 for _ in range(300))
 
 
-@pytest.mark.parametrize("fn", [frame_bounds, canonical_dual, tighten])
+@pytest.mark.parametrize("fn", [frame_bounds, canonical_dual, tighten, reconstruct])
 def test_kernel_memory_is_linear(fn):
-    # 64 complex values per sample; b x b Walnut blocks alone would take 14.7 MB
+    # 64 complex values per sample; b x b Walnut blocks alone would take 14.7 MB,
+    # and reconstruct's N x L translate stack 14.1 MB
     lat = GaborLattice(1920, 2, 480)
-    g = random_signal(np.random.default_rng(14), lat.L)
+    rng = np.random.default_rng(14)
+    signals = [random_signal(rng, lat.L) for _ in range(3 if fn is reconstruct else 1)]
     tracemalloc.start()
     try:
-        fn(lat, g)
+        fn(lat, *signals)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -86,7 +98,8 @@ def test_kernel_memory_is_linear(fn):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Lattices of every _FrameAnalysis built, and the count of (g, g) folds."""
+    """Lattices of every _FrameAnalysis built, and the count of folds that
+    classify and the dual certificates compute."""
     seen = {"lattices": [], "folds": 0}
     init, folds = _FrameAnalysis.__init__, tightness._folds
 
@@ -100,6 +113,7 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(_FrameAnalysis, "__init__", counting_init)
     monkeypatch.setattr(tightness, "_folds", counting_folds)
+    monkeypatch.setattr(duality, "_folds", counting_folds)
     return seen
 
 
@@ -107,6 +121,24 @@ def test_classify_builds_one_analysis_and_one_fold(builds):
     lat = GaborLattice(48, 4, 6)
     classify(lat, random_signal(np.random.default_rng(15), lat.L))
     assert builds == {"lattices": [lat], "folds": 1}
+
+
+def test_decompose_dual_builds_one_analysis_and_one_fold(builds):
+    # both certificates read one (h, g) fold
+    lat = GaborLattice(48, 4, 6)
+    rng = np.random.default_rng(17)
+    g = random_signal(rng, lat.L)
+    h = make_alternate_dual(lat, g, random_signal(rng, lat.L - lat.a * lat.b))
+    builds["lattices"].clear()
+    assert decompose_dual(lat, g, h).is_dual
+    assert builds == {"lattices": [lat], "folds": 1}
+
+
+def test_reconstruct_builds_one_analysis(builds):
+    lat = GaborLattice(48, 4, 6)
+    rng = np.random.default_rng(18)
+    reconstruct(lat, *(random_signal(rng, lat.L) for _ in range(3)))
+    assert builds == {"lattices": [lat], "folds": 0}
 
 
 @pytest.mark.parametrize("command,windows", [
