@@ -11,10 +11,13 @@ equivalent to that identity and to each other:
 
 The set of all duals is the affine space S^-1 g + W, where W is the
 orthogonal complement of the span of the a*b adjoint atoms of g. W splits
-over the residue classes mod a: a SVDs of b x N matrices find it.
-decompose_dual splits a candidate against that description;
-make_alternate_dual walks the space. At critical density the adjoint
-atoms span everything, W = {0}, and the canonical dual is the only dual.
+over the residue classes mod a: one batched QR of the a residue-class
+matrices (b x N each) gives an orthonormal basis of it. On the Zak blocks
+of g (Zibulski-Zeevi 1997) the span of the adjoint atoms is the row space
+of every block Z_g, so decompose_dual tests membership in W with the
+reduced QR of the blocks Z_g^H and builds no basis; make_alternate_dual
+walks the space. At critical density the adjoint atoms span everything,
+W = {0}, and the canonical dual is the only dual.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import _folds, _lagged
-from .frame import canonical_dual
+from .frame import _FrameAnalysis, canonical_dual
 from .lattice import GaborLattice, require_length
 
 __all__ = [
-    "RANK_TOL",
     "DualSpace",
     "DualReport",
     "wexler_raz_check",
@@ -37,10 +39,6 @@ __all__ = [
     "make_alternate_dual",
     "decompose_dual",
 ]
-
-# Singular values below RANK_TOL times the largest are treated as zero.
-RANK_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class DualSpace:
@@ -132,33 +130,27 @@ def _flat_residual(lat: GaborLattice, folds: np.ndarray) -> float:
                      np.max(np.abs(folds[1:]), initial=0.0)))
 
 
-def _residue_complement(lat: GaborLattice, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class ranks, shape (a,), and an orthonormal basis of W by rows.
+def dual_space(lat: GaborLattice, g: np.ndarray) -> DualSpace:
+    """The canonical dual and an orthonormal basis of the free parts of duals.
 
     With x = s + t*a, adjoint_atom(k, l)(x) = exp(2*pi*i*k*s/a) * V_s[l, t]
     for V_s[l, t] = g(s + t*a - l*q): the atom stack is unitarily equivalent
-    to sqrt(a) times the block diagonal of the b x N matrices V_s. Ranks
-    count singular values above RANK_TOL times the largest of all classes;
-    a null row v of V_s is placed at x = s + t*a. The V_s are the fold's
-    lagged gather, read along its last axis.
-    """
-    t = np.arange(lat.N)
-    _, sv, Vh = np.linalg.svd(np.moveaxis(_lagged(lat, g), -1, 0))
-    ranks = np.sum(sv > RANK_TOL * np.max(sv), axis=1)
-    classes, rows = np.nonzero(t >= ranks[:, None])
-    basis = np.zeros((len(classes), lat.L), dtype=np.complex128)
-    basis[np.arange(len(classes))[:, None], classes[:, None] + lat.a * t] = Vh[classes, rows]
-    return ranks, basis
-
-
-def dual_space(lat: GaborLattice, g: np.ndarray) -> DualSpace:
-    """The canonical dual and an orthonormal basis of the free parts of duals.
+    to sqrt(a) times the block diagonal of the b x N matrices V_s, read
+    from the fold's lagged gather. The complete QR of V_s^H = Q_s R_s gives
+    the null rows conj(Q_s[:, b:]).T, each placed at x = s + t*a. For a
+    frame every V_s has full rank b: M * sigma^2 over its singular values
+    sigma are eigenvalues of S, so sigma_min / sigma_max >= sqrt(A/B) >
+    1e-5 and orbit_rank is a*b.
 
     Raises NotAFrameError (via the canonical dual) when g is not a frame.
     """
     canonical = canonical_dual(lat, g)
-    ranks, basis = _residue_complement(lat, g)
-    return DualSpace(lat, np.asarray(g, dtype=np.complex128), int(np.sum(ranks)), basis, canonical)
+    Q = np.linalg.qr(np.conj(np.transpose(_lagged(lat, g))), mode="complete")[0]
+    s = np.arange(lat.a)
+    basis = np.zeros((lat.a, lat.N - lat.b, lat.N, lat.a), dtype=np.complex128)
+    basis[s, :, :, s] = np.conj(np.swapaxes(Q[..., lat.b:], -1, -2))
+    return DualSpace(lat, np.asarray(g, dtype=np.complex128), lat.a * lat.b,
+                     basis.reshape(-1, lat.L), canonical)
 
 
 def make_alternate_dual(lat: GaborLattice, g: np.ndarray, coeffs) -> np.ndarray:
@@ -177,13 +169,16 @@ def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray, tol: float =
 
     The free part h - S^-1 g lies in the adjoint-orbit complement exactly
     when h is a dual; <h - S^-1 g, g> = <h, g> - a*b/L vanishes then too.
+    The orbit part of the free part is Z_free Q Q^H on the Zak blocks, for
+    Q the reduced QR factor of Z_g^H (q_w x p per block); the blocks are a
+    unitary image of the signal, so its norm is ||Z_free Q||_F.
     """
     require_length(lat, g, h)
-    space = dual_space(lat, g)
-    complement, canonical = space.complement_basis, space.canonical_dual
+    analysis = _FrameAnalysis(lat, g)
+    canonical = analysis.power(-1.0)
     free = np.asarray(h, dtype=np.complex128) - canonical
-    orbit_part = free - complement.T @ (np.conj(complement) @ free)
-    in_complement = bool(np.linalg.norm(orbit_part) <= tol)
+    Q = np.linalg.qr(analysis.ZH)[0]
+    in_complement = bool(np.linalg.norm(analysis.forward(free) @ Q) <= tol)
     folds = _folds(lat, h, g)
     wr, walnut = _biorthogonality_residual(lat, folds), _flat_residual(lat, folds)
     return DualReport(

@@ -9,7 +9,8 @@ gathered by one fixed permutation, are c*d blocks Z_f of shape p x q_w,
 and S acts on every block as Z_f -> (L/p) * Z_g Z_g^H Z_f. Bounds, S^-1 g
 and S^-1/2 g take one FFT pass and one batched eigendecomposition of the
 p x p Gram blocks Z_g Z_g^H: O(L log L) time and, at density <= 1, O(L)
-memory; S f needs no eigensolver. S commutes with every lattice operator,
+memory (above density 1, the bounds read the smaller q_w x q_w blocks
+Z_g^H Z_g instead); S f needs no eigensolver. S commutes with every lattice operator,
 so S^-1 g and S^-1/2 g generate Weyl-Heisenberg systems again.
 Reconstruction is the mixed operator sum <f, h_mn> g_mn, which acts on
 the blocks as Z_f -> (L/p) * Z_g Z_h^H Z_f; S is its h = g case. The norm
@@ -107,7 +108,8 @@ class _FrameAnalysis:
 
     Every frame quantity of the window reads from one instance: the bounds
     and the spectral powers of S from one batched eigh of the p x p Gram
-    blocks (computed on first use), S f from the Gram blocks alone.
+    blocks (computed on first use; over-dense bounds read the q_w x q_w
+    Gram blocks instead), S f from the Gram blocks alone.
     """
 
     def __init__(self, lat: GaborLattice, g: np.ndarray):
@@ -116,7 +118,6 @@ class _FrameAnalysis:
         self.g = np.asarray(g, dtype=np.complex128)
         self.c, self.W = _zak_layout(lat)
         self.Z = self.forward(self.g)
-        self.gram = self.Z @ np.conj(np.swapaxes(self.Z, -1, -2))
         self.scale = lat.L / self.W.shape[1]  # L/p
 
     def forward(self, f: np.ndarray) -> np.ndarray:
@@ -131,6 +132,16 @@ class _FrameAnalysis:
         return np.fft.ifft(spectra, axis=1, norm="ortho").T.reshape(self.lat.L)
 
     @cached_property
+    def ZH(self) -> np.ndarray:
+        """The conjugate-transposed blocks Z_g^H, shape (c, d, q_w, p)."""
+        return np.conj(np.swapaxes(self.Z, -1, -2))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The p x p Gram blocks Z_g Z_g^H."""
+        return self.Z @ self.ZH
+
+    @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues of S on each block (ascending) and their vectors."""
         w, U = np.linalg.eigh(self.gram)
@@ -138,11 +149,15 @@ class _FrameAnalysis:
 
     @cached_property
     def bounds(self) -> FrameBounds:
-        """Extreme block eigenvalues; A = 0 when p > q_w (rank <= q_w)."""
-        w = self.eig[0]
+        """Extreme block eigenvalues. When p > q_w the blocks have rank at
+        most q_w, so A = 0 and B is the top eigenvalue of the q_w x q_w
+        Gram blocks Z_g^H Z_g, which share the nonzero spectrum."""
         p, q_w = self.W.shape[1:]
-        A = max(float(np.min(w)), 0.0) if p <= q_w else 0.0
-        return FrameBounds(A=A, B=max(float(np.max(w)), 0.0))
+        if p > q_w:
+            w = self.scale * np.linalg.eigvalsh(self.ZH @ self.Z)
+            return FrameBounds(A=0.0, B=max(float(np.max(w)), 0.0))
+        w = self.eig[0]
+        return FrameBounds(A=max(float(np.min(w)), 0.0), B=max(float(np.max(w)), 0.0))
 
     def apply(self, f: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
         """S f = inverse((L/p) * Z_g Z_g^H Z_f), no eigensolver; with a

@@ -123,7 +123,8 @@ def check_cond_orthogonal_system(lat: GaborLattice, g: np.ndarray) -> float:
 
 def _fixed_point_residual(analysis: _FrameAnalysis) -> float:
     g = analysis.g
-    residual = float(np.max(np.abs(analysis.apply(g) - g)))
+    Sg = analysis.inverse(analysis.scale * analysis.gram @ analysis.Z)  # apply(g), one FFT fewer
+    residual = float(np.max(np.abs(Sg - g)))
     return residual if analysis.bounds.is_frame else max(residual, 1.0)
 
 

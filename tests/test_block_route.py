@@ -5,7 +5,8 @@ residuals are compared with dense linear algebra on the analysis array
 over a pool that covers critical, 2x and 4x oversampled, a = b = 1,
 over-dense and density-2/3 lattices, with Gaussian, tight, coset-zero and near-singular
 windows. Also: the one frame gate at its boundary, scale-aware tightness,
-and the memory bounds of classify and dual_space.
+dual decomposition at A/B = 1e-9, and the memory bounds of classify,
+dual_space and decompose_dual.
 """
 
 import json
@@ -23,6 +24,7 @@ from whframe import (
     check_cond_orthogonal_system,
     classify,
     cross_correlation_table,
+    decompose_dual,
     dual_space,
     frame_bounds,
     frame_operator,
@@ -34,8 +36,7 @@ from whframe import (
     tighten,
 )
 from whframe.cli import main
-from whframe.correlation import _folds, adjoint_products
-from whframe.duality import RANK_TOL, _residue_complement
+from whframe.correlation import _folds, _lagged, adjoint_products
 from whframe.frame import FRAME_FLOOR, FrameBounds, _FrameAnalysis
 from whframe.oracle import (
     analysis_array,
@@ -67,6 +68,28 @@ def near_singular(lat, rng, ratio):
     spectra = np.exp(2j * np.pi * rng.random((lat.a, lat.b))) / np.sqrt(lat.L)
     spectra[rng.integers(lat.a), rng.integers(lat.b)] *= np.sqrt(ratio)
     return np.fft.ifft(spectra, axis=1, norm="ortho").T.reshape(lat.L)
+
+
+def zak_near_singular(lat, rng, ratio, direction=False):
+    """Gaussian window with one Zak block scaled so that A/B == ratio.
+
+    The whole block is scaled, or with direction=True only its weakest
+    direction (its smallest Gram eigenvector), which for p > 1 makes the
+    block itself that ill-conditioned. Either way the block's smallest
+    Gram eigenvalue becomes ratio times the largest of all the others.
+    """
+    analysis = _FrameAnalysis(lat, random_signal(rng, lat.L))
+    grams = analysis.gram.reshape(-1, *analysis.gram.shape[-2:])
+    w, U = np.linalg.eigh(grams[0])
+    top = float(np.max(np.concatenate([w[1:], np.linalg.eigvalsh(grams[1:]).ravel()])))
+    Z = analysis.Z.copy()
+    block = Z.reshape(-1, *Z.shape[-2:])
+    if direction:
+        weak = np.outer(U[:, 0], np.conj(U[:, 0]) @ block[0])
+        block[0] += (np.sqrt(ratio * top / w[0]) - 1) * weak
+    else:
+        block[0] *= np.sqrt(ratio * top / w[0])
+    return analysis.inverse(Z)
 
 
 def pool():
@@ -157,25 +180,29 @@ class TestAgainstOracle:
     def test_residue_class_dual_space(self, lat, kind, g):
         atoms = np.stack([adjoint_atom(lat, g, k, l) for k in range(lat.a) for l in range(lat.b)])
         s = np.linalg.svd(atoms, compute_uv=False)
-        rank = int(np.sum(s > RANK_TOL * s[0]))
-        ranks, basis = _residue_complement(lat, g)
+        rank = int(np.sum(s > 1e-10 * s[0]))
+        # the residue-class matrices V_s[l, t] = g(s + t*a - l*q), one rank each
+        sv = np.linalg.svd(np.moveaxis(_lagged(lat, g), -1, 0), compute_uv=False)
+        ranks = np.sum(sv > 1e-10 * np.max(sv), axis=1)
+        assert int(np.sum(ranks)) == rank
         if kind == "coset0" and lat.a > 1 and lat.q % lat.a == 0:
             # every row of V_s samples class s, so the zeroed class has rank 0
             assert len(set(ranks.tolist())) > 1
-        if classify(lat, g).is_frame:
-            space = dual_space(lat, g)
-            assert space.orbit_rank == int(np.sum(ranks))
-            assert np.array_equal(space.complement_basis, basis)
-            coeffs = random_signal(np.random.default_rng(lat.L + 2), space.dimension)
-            assert oracle_is_dual(lat, g, make_alternate_dual(lat, g, coeffs))
-        else:
+        if not classify(lat, g).is_frame:
             with pytest.raises(NotAFrameError):
                 dual_space(lat, g)
-        assert int(np.sum(ranks)) == rank
+            return
+        space = dual_space(lat, g)
+        basis = space.complement_basis
+        assert space.orbit_rank == rank
         assert basis.shape == (lat.L - rank, lat.L)
         assert np.max(np.abs(basis @ np.conj(basis.T) - np.eye(len(basis))), initial=0.0) <= REL
+        classes = np.any(basis.reshape(len(basis), lat.N, lat.a) != 0, axis=1)
+        assert np.all(np.sum(classes, axis=1) == 1)
         overlaps = np.abs(np.conj(atoms) @ basis.T)
         assert np.max(overlaps, initial=0.0) <= REL * np.linalg.norm(g)
+        coeffs = random_signal(np.random.default_rng(lat.L + 2), space.dimension)
+        assert oracle_is_dual(lat, g, make_alternate_dual(lat, g, coeffs))
 
     def test_tight_constant(self, lat, kind, g):
         report, c = classify(lat, g), oracle_tight_constant(lat, g)
@@ -237,6 +264,37 @@ class TestFrameGate:
         assert analyze == dual == 0
 
 
+@pytest.mark.parametrize("L,a,b,direction", [
+    (16, 2, 4, False), (24, 3, 4, False), (48, 4, 6, False),   # 2x oversampled
+    (16, 2, 2, False), (24, 2, 3, False), (48, 4, 3, False),   # 4x oversampled
+    (36, 4, 6, False), (60, 4, 10, False),                     # density 2/3
+    (36, 4, 6, True), (60, 4, 10, True),
+])
+def test_near_singular_dual_decomposition(L, a, b, direction):
+    # A/B = 1e-9. With direction=True one 2 x 3 block has condition 1e-9
+    # itself: a projector from eigh of its Gram blocks squares that and
+    # misses the membership, QR of Z_g^H does not. S^-1 g, an eigh power,
+    # then fails the 1e-9 certificates, so is_dual is pinned to the oracle.
+    lat = GaborLattice(L, a, b)
+    rng = np.random.default_rng(L + a)
+    g = zak_near_singular(lat, rng, 1e-9, direction)
+    bounds = frame_bounds(lat, g)
+    assert bounds.A / bounds.B == pytest.approx(1e-9, rel=1e-3)
+    h = make_alternate_dual(lat, g, random_signal(rng, lat.L - lat.a * lat.b))
+    report = decompose_dual(lat, g, h)
+    assert report.free_part_in_complement
+    assert report.is_dual == oracle_is_dual(lat, g, h)
+    assert report.is_dual or direction
+    atom = adjoint_atom(lat, g, int(rng.integers(a)), int(rng.integers(b)))
+    unit = atom / np.linalg.norm(atom)
+    # the orbit part of h + eps * unit has norm eps, compared with tol = 1e-9
+    for eps in (0.5e-9, 2e-9):
+        assert decompose_dual(lat, g, h + eps * unit).free_part_in_complement == (eps < 1e-9)
+    report = decompose_dual(lat, g, h + 1e-6 * unit)
+    assert not report.free_part_in_complement and not report.is_dual
+    assert not oracle_is_dual(lat, g, h + 1e-6 * unit)
+
+
 @pytest.mark.parametrize("L,a,b", [(48, 4, 6), (48, 6, 8), (12, 1, 1), (48, 1, 1)])
 @pytest.mark.parametrize("scale", [1e-3, 1e3])
 def test_scaled_tight_window_keeps_its_constant(L, a, b, scale):
@@ -260,6 +318,22 @@ def test_dual_space_memory():
         tracemalloc.stop()
     assert space.dimension == lat.L - lat.a * lat.b
     assert peak < 16 * lat.L**2
+
+
+def test_decompose_dual_memory():
+    # no basis of W; building one by residue-class SVDs peaked at 3.5 MiB here
+    lat = GaborLattice(480, 16, 15)
+    rng = np.random.default_rng(19)
+    g = random_signal(rng, lat.L)
+    h = make_alternate_dual(lat, g, random_signal(rng, lat.L - lat.a * lat.b))
+    tracemalloc.start()
+    try:
+        report = decompose_dual(lat, g, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_dual
+    assert peak < 2**20
 
 
 def test_classify_memory_at_unit_steps():

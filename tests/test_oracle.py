@@ -151,3 +151,16 @@ def test_only_the_oracle_lists_atoms():
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 assert name not in ("gabor_atom", "adjoint_atom"), f"{path.name}:{node.lineno}"
+
+
+def test_only_the_oracle_takes_svds():
+    """Frame spectra come from eigh of Zak Gram blocks and dual spaces from
+    QR; an SVD is the oracle's independent route."""
+    for path in sorted(Path(whframe.__file__).parent.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                assert name not in ("svd", "svdvals"), f"{path.name}:{node.lineno}"

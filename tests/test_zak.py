@@ -80,6 +80,24 @@ def test_over_dense_lower_bound_is_exactly_zero(L, a, b):
     assert all(frame_bounds(lat, random_signal(rng, L)).A == 0.0 for _ in range(300))
 
 
+@pytest.mark.parametrize("a,b", [(960, 960), (480, 960)])
+def test_over_dense_bounds_skip_the_large_gram(a, b):
+    # one and two atoms: p = 960 and 480 with q_w = 1, so the p x p Gram
+    # blocks would hold up to 14.1 MiB and their eigh take up to a second
+    lat = GaborLattice(960, a, b)
+    g = random_signal(np.random.default_rng(a), lat.L)
+    tracemalloc.start()
+    try:
+        fast = frame_bounds(lat, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slow = oracle_frame_bounds(lat, g)
+    assert fast.A == slow.A == 0.0
+    assert abs(fast.B - slow.B) <= REL * slow.B
+    assert peak < 64 * lat.L * 16
+
+
 @pytest.mark.parametrize("fn", [frame_bounds, canonical_dual, tighten, reconstruct])
 def test_kernel_memory_is_linear(fn):
     # 64 complex values per sample; b x b Walnut blocks alone would take 14.7 MB,
