@@ -30,7 +30,7 @@ import numpy as np
 from .correlation import correlation_profile, frame_energy_split, walnut_upper_bound
 from .duality import decompose_dual, dual_space, wexler_raz_check
 from .frame import _FrameAnalysis, _norm_audit, frame_bounds, walnut_apply
-from .lattice import GaborLattice, as_signal, dft, norm_sq
+from .lattice import GaborLattice, _pairs, as_signal, dft, norm_sq
 from .synthesis import PhaseSpec, random_tight_generator, tight_generator_from_phases
 from .tightness import _classify, _density_diagnostics, classify
 
@@ -50,8 +50,8 @@ class JobConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.format not in (None, "json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.format!r}")
 
@@ -115,11 +115,6 @@ def _require(data: ParsedInput, *names: str) -> list[np.ndarray]:
             raise ValueError(f"missing required field {name!r} for this command")
         out.append(value)
     return out
-
-
-def _pairs(s: np.ndarray) -> list[list[float]]:
-    s = np.asarray(s, dtype=np.complex128)
-    return np.stack([s.real, s.imag], axis=-1).tolist()
 
 
 def _lattice_dict(lat: GaborLattice) -> dict:

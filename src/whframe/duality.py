@@ -12,23 +12,25 @@ equivalent to that identity and to each other:
 The set of all duals is the affine space S^-1 g + W, where W is the
 orthogonal complement of the span of the a*b adjoint atoms of g. W splits
 over the residue classes mod a: one batched QR of the a residue-class
-matrices (b x N each) gives an orthonormal basis of it. On the Zak blocks
-of g (Zibulski-Zeevi 1997) the span of the adjoint atoms is the row space
-of every block Z_g, so decompose_dual tests membership in W with the
-reduced QR of the blocks Z_g^H and builds no basis; make_alternate_dual
-walks the space. At critical density the adjoint atoms span everything,
-W = {0}, and the canonical dual is the only dual.
+matrices (b x N each) gives N - b orthonormal rows of length N per class,
+and DualSpace keeps W in that form, never as a dense L-column matrix;
+make_alternate_dual walks the space with one product per class. On the
+Zak blocks of g (Zibulski-Zeevi 1997) the span of the adjoint atoms is
+the row space of every block Z_g, so decompose_dual tests membership in W
+with the reduced QR of the blocks Z_g^H and builds no basis. At critical
+density the adjoint atoms span everything, W = {0}, and the canonical
+dual is the only dual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .correlation import _folds, _lagged
 from .frame import _FrameAnalysis, canonical_dual
-from .lattice import GaborLattice, require_length
+from .lattice import GaborLattice, _pairs, require_length
 
 __all__ = [
     "DualSpace",
@@ -42,36 +44,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DualSpace:
-    """The duals S^-1 g + W of a frame window.
+    """The duals S^-1 g + W of a frame window, W as its residue-class rows.
 
-    complement_basis holds dimension orthonormal rows spanning W, each
-    orthogonal to every adjoint atom of the generator and supported on one
-    residue class mod a; orbit_rank + dimension == L. canonical_dual is
-    S^-1 g, left out of to_dict.
+    class_rows[s, i, t], shape (a, N - b, N), is row i of class s at
+    x = s + t*a; the row is zero off that class. Taken class-major, the
+    rows are an orthonormal basis of W. canonical_dual is S^-1 g, left out
+    of to_dict.
     """
 
     lat: GaborLattice
-    generator: np.ndarray
-    orbit_rank: int
-    complement_basis: np.ndarray
     canonical_dual: np.ndarray
+    class_rows: np.ndarray
+
+    @property
+    def orbit_rank(self) -> int:
+        """a*b for every frame window g. With x = s + t*a, adjoint_atom(k, l)(x)
+        = exp(2*pi*i*k*s/a) * V_s[l, t] for V_s[l, t] = g(s + t*a - l*q), so the
+        atom stack is unitarily equivalent to sqrt(a) times the block diagonal
+        of the b x N matrices V_s. Each V_s has full rank b: M * sigma^2 over
+        its singular values sigma are eigenvalues of S, so
+        sigma_min / sigma_max >= sqrt(A/B) > 1e-5."""
+        return self.lat.a * self.lat.b
 
     @property
     def dimension(self) -> int:
         return self.lat.L - self.orbit_rank
 
+    @property
+    def complement_basis(self) -> np.ndarray:
+        """The rows of W as a dense (dimension, L) matrix, built on each read."""
+        lat, s = self.lat, np.arange(self.lat.a)
+        basis = np.zeros((lat.a, lat.N - lat.b, lat.N, lat.a), dtype=np.complex128)
+        basis[s, :, :, s] = self.class_rows
+        return basis.reshape(-1, lat.L)
+
     def to_dict(self) -> dict:
-        """Each basis row as its residue class s and its N values at
-        x = s + t*a, as [re, im] pairs; the row is zero elsewhere."""
-        lat, basis = self.lat, self.complement_basis
-        residues = np.argmax(np.abs(basis), axis=1) % lat.a
-        values = basis.reshape(-1, lat.N, lat.a)[np.arange(len(basis)), :, residues]
-        pairs = np.stack([values.real, values.imag], axis=-1).tolist()
+        """Each row as its class s and its N [re, im] values at x = s + t*a."""
         return {
             "orbit_rank": self.orbit_rank,
             "dimension": self.dimension,
             "complement_basis": [
-                {"residue": int(s), "values": row} for s, row in zip(residues, pairs)
+                {"residue": s, "values": row}
+                for s, rows in enumerate(_pairs(self.class_rows)) for row in rows
             ],
         }
 
@@ -88,14 +102,8 @@ class DualReport:
     free_part_in_complement: bool
 
     def to_dict(self) -> dict:
-        return {
-            "is_dual": self.is_dual,
-            "wexler_raz_residual": self.wexler_raz_residual,
-            "walnut_residual": self.walnut_residual,
-            "canonical_part": [[z.real, z.imag] for z in self.canonical_part],
-            "free_part": [[z.real, z.imag] for z in self.free_part],
-            "free_part_in_complement": self.free_part_in_complement,
-        }
+        return {**asdict(self), "canonical_part": _pairs(self.canonical_part),
+                "free_part": _pairs(self.free_part)}
 
 
 def wexler_raz_check(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
@@ -131,26 +139,17 @@ def _flat_residual(lat: GaborLattice, folds: np.ndarray) -> float:
 
 
 def dual_space(lat: GaborLattice, g: np.ndarray) -> DualSpace:
-    """The canonical dual and an orthonormal basis of the free parts of duals.
+    """The canonical dual and the residue-class rows of W.
 
-    With x = s + t*a, adjoint_atom(k, l)(x) = exp(2*pi*i*k*s/a) * V_s[l, t]
-    for V_s[l, t] = g(s + t*a - l*q): the atom stack is unitarily equivalent
-    to sqrt(a) times the block diagonal of the b x N matrices V_s, read
-    from the fold's lagged gather. The complete QR of V_s^H = Q_s R_s gives
-    the null rows conj(Q_s[:, b:]).T, each placed at x = s + t*a. For a
-    frame every V_s has full rank b: M * sigma^2 over its singular values
-    sigma are eigenvalues of S, so sigma_min / sigma_max >= sqrt(A/B) >
-    1e-5 and orbit_rank is a*b.
+    On class s, W is the orthogonal complement of the rows of V_s (see
+    DualSpace.orbit_rank), the fold's lagged gather; the complete QR
+    V_s^H = Q_s R_s gives it as the rows conj(Q_s[:, b:]).T.
 
     Raises NotAFrameError (via the canonical dual) when g is not a frame.
     """
     canonical = canonical_dual(lat, g)
     Q = np.linalg.qr(np.conj(np.transpose(_lagged(lat, g))), mode="complete")[0]
-    s = np.arange(lat.a)
-    basis = np.zeros((lat.a, lat.N - lat.b, lat.N, lat.a), dtype=np.complex128)
-    basis[s, :, :, s] = np.conj(np.swapaxes(Q[..., lat.b:], -1, -2))
-    return DualSpace(lat, np.asarray(g, dtype=np.complex128), lat.a * lat.b,
-                     basis.reshape(-1, lat.L), canonical)
+    return DualSpace(lat, canonical, np.conj(np.swapaxes(Q[..., lat.b:], -1, -2)))
 
 
 def make_alternate_dual(lat: GaborLattice, g: np.ndarray, coeffs) -> np.ndarray:
@@ -161,7 +160,8 @@ def make_alternate_dual(lat: GaborLattice, g: np.ndarray, coeffs) -> np.ndarray:
         raise ValueError(
             f"expected {space.dimension} coefficients, got shape {coeffs.shape}"
         )
-    return space.canonical_dual + coeffs @ space.complement_basis
+    free = np.einsum("si,sit->ts", coeffs.reshape(lat.a, -1), space.class_rows)
+    return space.canonical_dual + free.reshape(lat.L)
 
 
 def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray, tol: float = 1e-9) -> DualReport:

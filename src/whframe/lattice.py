@@ -107,6 +107,12 @@ def as_signal(values, L: int | None = None) -> np.ndarray:
     return s
 
 
+def _pairs(s) -> list:
+    """Complex values as nested [re, im] float lists (JSON; as_signal reads them)."""
+    s = np.asarray(s, dtype=np.complex128)
+    return np.stack([s.real, s.imag], axis=-1).tolist()
+
+
 def require_length(lat: GaborLattice, *signals: np.ndarray) -> None:
     """Raise ValueError if any signal does not have the lattice length."""
     for s in signals:

@@ -61,6 +61,8 @@ class PhaseSpec:
                 f"phases must have shape ({self.lat.a}, {self.lat.b}), "
                 f"got {phases.shape}"
             )
+        if not np.all(np.isfinite(phases)):
+            raise ValueError("phases contain non-finite entries")
         object.__setattr__(self, "phases", phases)
 
     def to_dict(self) -> dict:

@@ -34,7 +34,7 @@ from .duality import (
     wexler_raz_check,
 )
 from .frame import FrameBounds, _FrameAnalysis
-from .lattice import GaborLattice, dft, inner, norm_sq
+from .lattice import GaborLattice, _pairs, dft, inner, norm_sq
 
 __all__ = [
     "TightnessReport",
@@ -91,13 +91,7 @@ class DensityReport:
     riesz_basis: bool
 
     def to_dict(self) -> dict:
-        return {
-            "dual_pairing": [self.dual_pairing.real, self.dual_pairing.imag],
-            "expected_pairing": self.expected_pairing,
-            "pairing_residual": self.pairing_residual,
-            "adjoint_residual": self.adjoint_residual,
-            "riesz_basis": self.riesz_basis,
-        }
+        return {**asdict(self), "dual_pairing": _pairs(self.dual_pairing)}
 
 
 def check_cond_walnut(lat: GaborLattice, g: np.ndarray) -> float:

@@ -6,7 +6,7 @@ over a pool that covers critical, 2x and 4x oversampled, a = b = 1,
 over-dense and density-2/3 lattices, with Gaussian, tight, coset-zero and near-singular
 windows. Also: the one frame gate at its boundary, scale-aware tightness,
 dual decomposition at A/B = 1e-9, and the memory bounds of classify,
-dual_space and decompose_dual.
+dual_space, make_alternate_dual and decompose_dual.
 """
 
 import json
@@ -201,8 +201,17 @@ class TestAgainstOracle:
         assert np.all(np.sum(classes, axis=1) == 1)
         overlaps = np.abs(np.conj(atoms) @ basis.T)
         assert np.max(overlaps, initial=0.0) <= REL * np.linalg.norm(g)
+        # one QR per residue class, its null rows placed at x = s + t*a by hand
+        t, l, n = np.arange(lat.N), np.arange(lat.b)[:, None], lat.N - lat.b
+        expected = np.zeros_like(basis)
+        for s in range(lat.a):
+            Q = np.linalg.qr(np.conj(g[(s + t * lat.a - l * lat.q) % lat.L].T), mode="complete")[0]
+            expected[s * n:(s + 1) * n, s::lat.a] = np.conj(Q[:, lat.b:].T)
+        assert np.array_equal(basis, expected)
         coeffs = random_signal(np.random.default_rng(lat.L + 2), space.dimension)
-        assert oracle_is_dual(lat, g, make_alternate_dual(lat, g, coeffs))
+        h = make_alternate_dual(lat, g, coeffs)
+        assert rel_err(h, space.canonical_dual + coeffs @ basis) <= 1e-12
+        assert oracle_is_dual(lat, g, h)
 
     def test_tight_constant(self, lat, kind, g):
         report, c = classify(lat, g), oracle_tight_constant(lat, g)
@@ -318,6 +327,18 @@ def test_dual_space_memory():
         tracemalloc.stop()
     assert space.dimension == lat.L - lat.a * lat.b
     assert peak < 16 * lat.L**2
+    # neither call builds the dense (L - a*b) x L basis of W
+    lat = GaborLattice(1920, 8, 120)
+    g = random_signal(np.random.default_rng(13), lat.L)
+    coeffs = random_signal(np.random.default_rng(14), lat.L - lat.a * lat.b)
+    for call, args in ((dual_space, ()), (make_alternate_dual, (coeffs,))):
+        tracemalloc.start()
+        try:
+            call(lat, g, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * (lat.L - lat.a * lat.b) * lat.L, call.__name__
 
 
 def test_decompose_dual_memory():

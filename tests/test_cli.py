@@ -130,6 +130,17 @@ class TestExitCodes:
     def test_bad_tolerance_exits_2(self, box_path, capsys):
         assert main(["check-tight", "--input", box_path, "--tol", "-1"]) == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance_exits_2(self, impulse_path, capsys, monkeypatch, tol):
+        # an infinite tolerance would call any window normalized tight
+        assert main(["check-tight", "--input", impulse_path, "--tol", tol]) == 2
+        monkeypatch.setenv("WHFRAME_TOL", tol)
+        assert main(["check-tight", "--input", impulse_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert all(json.loads(line)["error"]["type"] == "ValueError"
+                   for line in err.splitlines())
+
 
 class TestReports:
     def test_check_tight_report_fields(self, box_path, capsys):
@@ -206,7 +217,8 @@ class TestDualCommands:
         assert report["dual_space"]["dimension"] == 2
         assert report["canonical_dual"][0][0] == pytest.approx(2 ** -0.5)
 
-    @pytest.mark.parametrize("L,a,b", [(4, 1, 2), (24, 2, 3), (48, 4, 6), (60, 4, 10)])
+    @pytest.mark.parametrize("L,a,b", [(4, 1, 2), (24, 2, 3), (48, 4, 6), (60, 4, 10),
+                                       (36, 4, 6), (480, 16, 15)])
     def test_dual_rows_expand_to_complement_basis(self, tmp_path, capsys, L, a, b):
         lat = GaborLattice(L, a, b)
         g = np.random.default_rng(L).standard_normal((L, 2))
@@ -284,6 +296,14 @@ class TestMakeTight:
         assert outputs[0] == outputs[1]
         capsys.readouterr()
 
+    def test_non_finite_phases_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "phases.json"
+        path.write_text('{"L": 4, "a": 2, "b": 2, "phases": [[NaN, 0.0], [0.0, Infinity]]}')
+        assert main(["make-tight", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
     def test_overdense_exits_2(self, tmp_path, capsys):
         path = write_input(tmp_path, "lat.json", {"L": 4, "a": 2, "b": 4})
         assert main(["make-tight", "--input", path]) == 2
@@ -317,6 +337,11 @@ class TestJobConfig:
     def test_rejects_unknown_command(self):
         with pytest.raises(ValueError):
             JobConfig(command="frob", input_path="x.json")
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+    def test_rejects_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            JobConfig(command="check-tight", input_path="x.json", tol=tol)
 
     def test_rejects_bad_format(self):
         with pytest.raises(ValueError):

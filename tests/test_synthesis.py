@@ -71,6 +71,11 @@ class TestPhaseSpec:
         with pytest.raises(ValueError):
             PhaseSpec(GaborLattice(4, 2, 2), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_phases(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            PhaseSpec(GaborLattice(4, 2, 2), np.array([[bad, 0.0], [0.0, 0.25]]))
+
     def test_to_dict(self):
         spec = PhaseSpec(GaborLattice(4, 2, 2), np.zeros((2, 2)))
         assert spec.to_dict() == {"L": 4, "a": 2, "b": 2, "phases": [[0.0, 0.0], [0.0, 0.0]]}
