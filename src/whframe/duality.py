@@ -16,10 +16,9 @@ matrices (b x N each) gives N - b orthonormal rows of length N per class,
 and DualSpace keeps W in that form, never as a dense L-column matrix;
 make_alternate_dual walks the space with one product per class. On the
 Zak blocks of g (Zibulski-Zeevi 1997) the span of the adjoint atoms is
-the row space of every block Z_g, so decompose_dual tests membership in W
-with the reduced QR of the blocks Z_g^H and builds no basis. At critical
-density the adjoint atoms span everything, W = {0}, and the canonical
-dual is the only dual.
+the row space of every block Z_g = U Sigma V^H, so decompose_dual tests
+membership in W with the frame analysis's V and builds no basis. At
+critical density W = {0}, and the canonical dual is the only dual.
 """
 
 from __future__ import annotations
@@ -169,16 +168,15 @@ def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray, tol: float =
 
     The free part h - S^-1 g lies in the adjoint-orbit complement exactly
     when h is a dual; <h - S^-1 g, g> = <h, g> - a*b/L vanishes then too.
-    The orbit part of the free part is Z_free Q Q^H on the Zak blocks, for
-    Q the reduced QR factor of Z_g^H (q_w x p per block); the blocks are a
-    unitary image of the signal, so its norm is ||Z_free Q||_F.
+    The orbit part of the free part is Z_free V V^H on the Zak blocks, for
+    V = R^H Sigma^-1 from the thin SVD Z_g = U Sigma V^H; the blocks are a
+    unitary image of the signal, so its norm is ||Z_free V||_F.
     """
     require_length(lat, g, h)
     analysis = _FrameAnalysis(lat, g)
     canonical = analysis.power(-1.0)
     free = np.asarray(h, dtype=np.complex128) - canonical
-    Q = np.linalg.qr(analysis.ZH)[0]
-    in_complement = bool(np.linalg.norm(analysis.forward(free) @ Q) <= tol)
+    in_complement = analysis.orbit_norm(free) <= tol
     folds = _folds(lat, h, g)
     wr, walnut = _biorthogonality_residual(lat, folds), _flat_residual(lat, folds)
     return DualReport(

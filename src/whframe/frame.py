@@ -6,15 +6,15 @@ small blocks (Zibulski-Zeevi 1997, in Strohmer's finite form): with the
 density a*b/L = p/q_w in lowest terms, c = gcd(a, M) and d = gcd(b, N),
 the unitary length-L/c DFTs of the c residue classes f(e + c*t),
 gathered by one fixed permutation, are c*d blocks Z_f of shape p x q_w,
-and S acts on every block as Z_f -> (L/p) * Z_g Z_g^H Z_f. Bounds, S^-1 g
-and S^-1/2 g take one FFT pass and one batched eigendecomposition of the
-p x p Gram blocks Z_g Z_g^H: O(L log L) time and, at density <= 1, O(L)
-memory (above density 1, the bounds read the smaller q_w x q_w blocks
-Z_g^H Z_g instead); S f needs no eigensolver. S commutes with every lattice operator,
-so S^-1 g and S^-1/2 g generate Weyl-Heisenberg systems again.
-Reconstruction is the mixed operator sum <f, h_mn> g_mn, which acts on
-the blocks as Z_f -> (L/p) * Z_g Z_h^H Z_f; S is its h = g case. The norm
-audit reads the correlation fold of the adjoint lattice (q, p).
+and S acts on every block as Z_f -> (L/p) * Z_g Z_g^H Z_f. One batched
+eigh of the smaller Gram blocks gives the bounds and, for frames, each
+block's thin SVD U Sigma V^H, with sigma read as row norms of U^H Z_g
+(to eps*kappa; the eigenvalues hold sigma^2 only to eps*kappa^2) for S^-1 g
+and the polar factor S^-1/2 g (Janssen-Strohmer 2002). O(L log L) time,
+O(L) memory. S commutes with every lattice operator, so S^-1 g and
+S^-1/2 g generate Weyl-Heisenberg systems again. Reconstruction,
+sum <f, h_mn> g_mn, acts on the blocks as Z_f -> (L/p) * Z_g Z_h^H Z_f.
+The norm audit reads the correlation fold of the adjoint lattice (q, p).
 
 Near-singular operators are rejected rather than inverted: one gate,
 A > FRAME_FLOOR * B, decides "frame" everywhere in the package.
@@ -105,12 +105,8 @@ def _zak_layout(lat: GaborLattice) -> tuple[int, np.ndarray]:
 
 class _FrameAnalysis:
     """The Zak blocks of one (lattice, window) pair, shape (c, d, p, q_w).
-
-    Every frame quantity of the window reads from one instance: the bounds
-    and the spectral powers of S from one batched eigh of the p x p Gram
-    blocks (computed on first use; over-dense bounds read the q_w x q_w
-    Gram blocks instead), S f from the Gram blocks alone.
-    """
+    Every frame quantity of the window reads them and one batched eigh of
+    the smaller Gram blocks, computed on first use."""
 
     def __init__(self, lat: GaborLattice, g: np.ndarray):
         require_length(lat, g)
@@ -118,7 +114,8 @@ class _FrameAnalysis:
         self.g = np.asarray(g, dtype=np.complex128)
         self.c, self.W = _zak_layout(lat)
         self.Z = self.forward(self.g)
-        self.scale = lat.L / self.W.shape[1]  # L/p
+        p, q_w = self.W.shape[1:]
+        self.scale, self.wide = lat.L / p, p <= q_w  # wide: density <= 1
 
     def forward(self, f: np.ndarray) -> np.ndarray:
         """Zak blocks of f: gathered unitary DFTs of its c residue classes."""
@@ -132,48 +129,54 @@ class _FrameAnalysis:
         return np.fft.ifft(spectra, axis=1, norm="ortho").T.reshape(self.lat.L)
 
     @cached_property
-    def ZH(self) -> np.ndarray:
-        """The conjugate-transposed blocks Z_g^H, shape (c, d, q_w, p)."""
-        return np.conj(np.swapaxes(self.Z, -1, -2))
-
-    @cached_property
     def gram(self) -> np.ndarray:
-        """The p x p Gram blocks Z_g Z_g^H."""
-        return self.Z @ self.ZH
+        """The smaller Gram blocks: Z_g Z_g^H when wide, else Z_g^H Z_g."""
+        return self.Z @ _ct(self.Z) if self.wide else _ct(self.Z) @ self.Z
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues of S on each block (ascending) and their vectors."""
-        w, U = np.linalg.eigh(self.gram)
-        return self.scale * w, U
+        """Eigenvalues (ascending) and eigenvectors U of the Gram blocks."""
+        return np.linalg.eigh(self.gram)
 
     @cached_property
     def bounds(self) -> FrameBounds:
-        """Extreme block eigenvalues. When p > q_w the blocks have rank at
-        most q_w, so A = 0 and B is the top eigenvalue of the q_w x q_w
-        Gram blocks Z_g^H Z_g, which share the nonzero spectrum."""
-        p, q_w = self.W.shape[1:]
-        if p > q_w:
-            w = self.scale * np.linalg.eigvalsh(self.ZH @ self.Z)
-            return FrameBounds(A=0.0, B=max(float(np.max(w)), 0.0))
-        w = self.eig[0]
-        return FrameBounds(A=max(float(np.min(w)), 0.0), B=max(float(np.max(w)), 0.0))
+        """Extreme block eigenvalues of S; A = 0 when p > q_w (rank at most q_w)."""
+        w = self.scale * self.eig[0]
+        A = max(float(np.min(w)), 0.0) if self.wide else 0.0
+        return FrameBounds(A=A, B=max(float(np.max(w)), 0.0))
 
-    def apply(self, f: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
-        """S f = inverse((L/p) * Z_g Z_g^H Z_f), no eigensolver; with a
-        second window h, sum <f, h_mn> g_mn, with Z_h^H for Z_g^H."""
-        blocks = self.gram if h is None else self.Z @ np.conj(np.swapaxes(self.forward(h), -1, -2))
-        return self.inverse(self.scale * blocks @ self.forward(f))
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """R = U^H Z_g = Sigma V^H and its row norms sigma (frames only)."""
+        R = _ct(self.eig[1]) @ self.Z
+        return R, np.linalg.norm(R, axis=-1)
+
+    def apply(self, f: np.ndarray | None = None, h: np.ndarray | None = None) -> np.ndarray:
+        """S f (S g by default); with a second window h, sum <f, h_mn> g_mn.
+        (L/p) Z_g Z_h^H Z_f, multiplied through the smaller Gram."""
+        Zf = self.Z if f is None else self.forward(f)
+        ZhH = None if h is None else _ct(self.forward(h))
+        if self.wide:
+            return self.inverse(self.scale * (self.gram if h is None else self.Z @ ZhH) @ Zf)
+        return self.inverse(self.scale * self.Z @ ((_ct(self.Z) if h is None else ZhH) @ Zf))
 
     def power(self, power: float) -> np.ndarray:
-        """S^power g, raising NotAFrameError when S is near-singular."""
-        bounds = self.bounds
-        if not bounds.is_frame:
-            raise NotAFrameError(f"lower frame bound {bounds.A:.3e} vanishes "
-                                 f"(upper bound {bounds.B:.3e})")
-        w, U = self.eig
-        coeffs = (np.conj(np.swapaxes(U, -1, -2)) @ self.Z) * w[..., None] ** power
-        return self.inverse(U @ coeffs)
+        """S^power g = inverse(U ((L/p) sigma^2)^power R); NotAFrameError if no frame."""
+        if not self.bounds.is_frame:
+            raise NotAFrameError(f"lower frame bound {self.bounds.A:.3e} vanishes "
+                                 f"(upper bound {self.bounds.B:.3e})")
+        R, sigma = self.rows
+        return self.inverse(self.eig[1] @ ((self.scale * sigma**2)[..., None] ** power * R))
+
+    def orbit_norm(self, f: np.ndarray) -> float:
+        """||Z_f V||_F, V = R^H Sigma^-1: the norm of f's part in the span of g's adjoint atoms."""
+        R, sigma = self.rows
+        return float(np.linalg.norm(self.forward(f) @ _ct(R) / sigma[..., None, :]))
+
+
+def _ct(Z: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of every block."""
+    return np.conj(np.swapaxes(Z, -1, -2))
 
 
 def frame_operator(lat: GaborLattice, g: np.ndarray) -> np.ndarray:

@@ -57,7 +57,7 @@ def oracle_is_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray, tol: float =
 
 
 def oracle_tight_constant(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> float | None:
-    """The constant c with S == c*I, or None if there is no such constant.
+    """The constant c > 0 with S == c*I, or None (S = 0 is no frame).
 
     S is assembled from the analysis array alone and compared against
     c*I entrywise, with c read off the diagonal average, to within
@@ -66,7 +66,7 @@ def oracle_tight_constant(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -
     arr = analysis_array(lat, g)
     S = np.conj(arr).T @ arr
     c = float(np.mean(np.diag(S).real))
-    if np.max(np.abs(S - c * np.eye(lat.L))) <= tol * max(c, 1.0):
+    if c > 0.0 and np.max(np.abs(S - c * np.eye(lat.L))) <= tol * max(c, 1.0):
         return c
     return None
 

@@ -116,9 +116,7 @@ def check_cond_orthogonal_system(lat: GaborLattice, g: np.ndarray) -> float:
 
 
 def _fixed_point_residual(analysis: _FrameAnalysis) -> float:
-    g = analysis.g
-    Sg = analysis.inverse(analysis.scale * analysis.gram @ analysis.Z)  # apply(g), one FFT fewer
-    residual = float(np.max(np.abs(Sg - g)))
+    residual = float(np.max(np.abs(analysis.apply() - analysis.g)))
     return residual if analysis.bounds.is_frame else max(residual, 1.0)
 
 
@@ -136,7 +134,7 @@ def check_cond_fixed_point(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) 
 def classify(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> TightnessReport:
     """Full tightness report: bounds, all four residuals, basis flags.
 
-    Tight means B - A <= tol * B, so no verdict changes when g is scaled.
+    Tight means a frame with B - A <= tol * B, so no verdict changes when g is scaled.
     """
     return _classify(_FrameAnalysis(lat, g), tol)
 
@@ -145,9 +143,9 @@ def _classify(analysis: _FrameAnalysis, tol: float) -> TightnessReport:
     """classify on one Zak analysis; criteria (2)-(4) read one (g, g) fold."""
     lat, g, bounds = analysis.lat, analysis.g, analysis.bounds
     is_frame = bounds.is_frame
-    tight = bounds.B - bounds.A <= tol * bounds.B
+    tight = is_frame and bounds.B - bounds.A <= tol * bounds.B
     tight_constant = (bounds.A + bounds.B) / 2 if tight else None
-    normalized_tight = abs(bounds.A - 1.0) <= tol and abs(bounds.B - 1.0) <= tol
+    normalized_tight = is_frame and abs(bounds.A - 1.0) <= tol and abs(bounds.B - 1.0) <= tol
     onb = normalized_tight and abs(norm_sq(g) ** 0.5 - 1.0) <= tol
     folds = _folds(lat, g, g)
     adjoint = _biorthogonality_residual(lat, folds)  # criteria (3) and (4)

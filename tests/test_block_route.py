@@ -281,14 +281,19 @@ class TestFrameGate:
 ])
 def test_near_singular_dual_decomposition(L, a, b, direction):
     # A/B = 1e-9. With direction=True one 2 x 3 block has condition 1e-9
-    # itself: a projector from eigh of its Gram blocks squares that and
-    # misses the membership, QR of Z_g^H does not. S^-1 g, an eigh power,
-    # then fails the 1e-9 certificates, so is_dual is pinned to the oracle.
+    # itself. Membership in W is read on the Zak blocks with V = R^H Sigma^-1
+    # from the rows R = U^H Z_g, not from a QR. S^-1 g still fails the 1e-9
+    # certificates there, so is_dual is pinned to the oracle; the tight
+    # window, U V^H on each block up to scale, takes sigma from the row
+    # norms of R and stays tight.
     lat = GaborLattice(L, a, b)
     rng = np.random.default_rng(L + a)
     g = zak_near_singular(lat, rng, 1e-9, direction)
     bounds = frame_bounds(lat, g)
     assert bounds.A / bounds.B == pytest.approx(1e-9, rel=1e-3)
+    t = tighten(lat, g)
+    assert classify(lat, t).normalized_tight
+    assert oracle_tight_constant(lat, t) == pytest.approx(1.0, abs=1e-9)
     h = make_alternate_dual(lat, g, random_signal(rng, lat.L - lat.a * lat.b))
     report = decompose_dual(lat, g, h)
     assert report.free_part_in_complement

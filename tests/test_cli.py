@@ -327,6 +327,12 @@ class TestTolControls:
         assert main(["check-tight", "--input", path, "--tol", "1e-9"]) == 1
         capsys.readouterr()
 
+    def test_loose_tol_keeps_the_frame_gate(self, impulse_path, capsys):
+        assert main(["check-tight", "--input", impulse_path, "--tol", "1"]) == 1
+        tightness = json.loads(capsys.readouterr().out)["tightness"]
+        assert tightness["is_frame"] is False
+        assert tightness["normalized_tight"] is False and tightness["onb"] is False
+
     def test_invalid_env_var_exits_2(self, box_path, capsys, monkeypatch):
         monkeypatch.setenv("WHFRAME_TOL", "loose")
         assert main(["check-tight", "--input", box_path]) == 2

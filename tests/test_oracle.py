@@ -154,13 +154,20 @@ def test_only_the_oracle_lists_atoms():
 
 
 def test_only_the_oracle_takes_svds():
-    """Frame spectra come from eigh of Zak Gram blocks and dual spaces from
-    QR; an SVD is the oracle's independent route."""
+    """Frame spectra come from one eigh of Zak Gram blocks, in
+    _FrameAnalysis, and the rows of W from one QR, in dual_space; an SVD is
+    the oracle's independent route."""
+    factorizations = []
     for path in sorted(Path(whframe.__file__).parent.glob("*.py")):
         if path.name == "oracle.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                assert name not in ("svd", "svdvals"), f"{path.name}:{node.lineno}"
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    assert name not in ("svd", "svdvals", "eigvalsh"), f"{path.name}:{node.lineno}"
+                    if name in ("eigh", "qr"):
+                        factorizations.append((name, path.name, getattr(top, "name", None)))
+    assert sorted(factorizations) == [("eigh", "frame.py", "_FrameAnalysis"),
+                                      ("qr", "duality.py", "dual_space")]

@@ -95,6 +95,15 @@ class TestClassify:
         assert not report.normalized_tight and not report.onb and not report.riesz_basis
         assert report.tight_constant is None
 
+    @pytest.mark.parametrize("tol", [1.0, 1e300])
+    def test_verdicts_need_the_frame_gate(self, impulse, tol):
+        # B - A = B and |A - 1| = 1 pass a loose tol; the gate still fails
+        lat, g = impulse
+        report = classify(lat, g, tol)
+        assert not report.is_frame
+        assert report.tight_constant is None
+        assert not report.normalized_tight and not report.onb
+
     def test_zero_window(self):
         lat = GaborLattice(4, 2, 2)
         report = classify(lat, np.zeros(4, dtype=complex))

@@ -83,19 +83,23 @@ def test_over_dense_lower_bound_is_exactly_zero(L, a, b):
 @pytest.mark.parametrize("a,b", [(960, 960), (480, 960)])
 def test_over_dense_bounds_skip_the_large_gram(a, b):
     # one and two atoms: p = 960 and 480 with q_w = 1, so the p x p Gram
-    # blocks would hold up to 14.1 MiB and their eigh take up to a second
+    # blocks would hold up to 14.1 MiB and their eigh take up to a second;
+    # S f and the mixed product multiply through the q_w x q_w side too
     lat = GaborLattice(960, a, b)
-    g = random_signal(np.random.default_rng(a), lat.L)
-    tracemalloc.start()
-    try:
-        fast = frame_bounds(lat, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    slow = oracle_frame_bounds(lat, g)
+    rng = np.random.default_rng(a)
+    g, h, f = (random_signal(rng, lat.L) for _ in range(3))
+    for call in (lambda: frame_bounds(lat, g), lambda: walnut_apply(lat, g, f),
+                 lambda: reconstruct(lat, g, h, f)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * lat.L * 16
+    fast, slow = frame_bounds(lat, g), oracle_frame_bounds(lat, g)
     assert fast.A == slow.A == 0.0
     assert abs(fast.B - slow.B) <= REL * slow.B
-    assert peak < 64 * lat.L * 16
 
 
 @pytest.mark.parametrize("fn", [frame_bounds, canonical_dual, tighten, reconstruct])
