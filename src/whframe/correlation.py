@@ -9,11 +9,10 @@ at the adjoint-lattice shifts k*q, k in [0, b). The shift k*q repeats mod L
 with period b, so b rows capture every distinct lag exactly. The k = 0 row
 is the lattice power profile; it is real, nonnegative and a-periodic.
 
-One fold serves both lattices and the dual space: the period-a fold of
-h * conj(T_{lq} g), shape (b, a), tiles to the table, its length-a DFTs
-are the adjoint products, its lagged gather of g holds the residue-class
-matrices of the dual space, and on the adjoint lattice (q, p) its DFTs
-are the Gabor coefficients <h, atom_g(m, n)>.
+One fold serves both lattices: the period-a fold of h * conj(T_{lq} g),
+shape (b, a), tiles to the table, its length-a DFTs are the adjoint
+products, and on the adjoint lattice (q, p) its DFTs are the Gabor
+coefficients <h, atom_g(m, n)>.
 """
 
 from __future__ import annotations
@@ -64,21 +63,15 @@ class CorrelationProfile:
         return "\n".join(lines) + "\n"
 
 
-def _lagged(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
-    """G[l, t, s] = g(s + t*a - l*q), shape (b, N, a); G[:, :, s] is the
-    residue-class matrix V_s of the dual space."""
-    x = np.arange(lat.L) - lat.q * np.arange(lat.b)[:, None]
-    return np.asarray(g, dtype=np.complex128)[x % lat.L].reshape(lat.b, lat.N, lat.a)
-
-
 def _folds(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """F[l, s] = sum_t h(s + t*a) * conj(g(s + t*a - l*q)), shape (b, a):
     the period-a folds of h * conj(T_{lq} g), O(b*L) work. Tiled, they are
     the cross-correlation table; their length-a DFTs, the adjoint products.
     On GaborLattice(L, q, p), row n folds h * conj(T_{na} g) to period M."""
     require_length(lat, h, g)
-    h = np.asarray(h, dtype=np.complex128).reshape(lat.N, lat.a)
-    return (h * np.conj(_lagged(lat, g))).sum(axis=1)
+    x = np.arange(lat.L) - lat.q * np.arange(lat.b)[:, None]
+    lagged = np.asarray(g, dtype=np.complex128)[x % lat.L].reshape(lat.b, lat.N, lat.a)
+    return (np.asarray(h, dtype=np.complex128).reshape(lat.N, lat.a) * np.conj(lagged)).sum(axis=1)
 
 
 def cross_correlation_table(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -10,14 +10,13 @@ equivalent to that identity and to each other:
     row 0 equal to b/L and vanishing other rows.
 
 The set of all duals is the affine space S^-1 g + W, where W is the
-orthogonal complement of the span of the a*b adjoint atoms of g. W splits
-over the residue classes mod a: one batched QR of the a residue-class
-matrices (b x N each) gives N - b orthonormal rows of length N per class,
-and DualSpace keeps W in that form, never as a dense L-column matrix;
-make_alternate_dual walks the space with one product per class. On the
-Zak blocks of g (Zibulski-Zeevi 1997) the span of the adjoint atoms is
-the row space of every block Z_g = U Sigma V^H, so decompose_dual tests
-membership in W with the frame analysis's V and builds no basis. At
+orthogonal complement of the span of the a*b adjoint atoms of g. On the
+Zak blocks of g (Zibulski-Zeevi 1997) that span is the set of windows
+whose block rows lie in the row space of every block Z_g = U Sigma V^H,
+so W is C^p (x) null(Z_g) block by block. The frame analysis that gives
+S^-1 g holds V and the bases of null(Z_g): make_alternate_dual maps
+coefficients onto the blocks with one product, decompose_dual tests
+membership in W as ||Z_free V||_F, and neither builds a basis. At
 critical density W = {0}, and the canonical dual is the only dual.
 """
 
@@ -27,8 +26,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .correlation import _folds, _lagged
-from .frame import _FrameAnalysis, canonical_dual
+from .correlation import _folds
+from .frame import _FrameAnalysis, _ct
 from .lattice import GaborLattice, _pairs, require_length
 
 __all__ = [
@@ -43,48 +42,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DualSpace:
-    """The duals S^-1 g + W of a frame window, W as its residue-class rows.
+    """The duals S^-1 g + W of a frame window, both read from its frame analysis.
 
-    class_rows[s, i, t], shape (a, N - b, N), is row i of class s at
-    x = s + t*a; the row is zero off that class. Taken class-major, the
-    rows are an orthonormal basis of W. canonical_dual is S^-1 g, left out
-    of to_dict.
-    """
+    Coefficients C, shape (c, d, p, q_w - p), stand for the blocks C @ null^H.
+    Flattened, coefficient i gives basis row i, which lies on the residue class
+    mod c = gcd(a, M) named by C's first index. to_dict leaves out S^-1 g."""
 
     lat: GaborLattice
     canonical_dual: np.ndarray
-    class_rows: np.ndarray
+    analysis: _FrameAnalysis
 
     @property
     def orbit_rank(self) -> int:
-        """a*b for every frame window g. With x = s + t*a, adjoint_atom(k, l)(x)
-        = exp(2*pi*i*k*s/a) * V_s[l, t] for V_s[l, t] = g(s + t*a - l*q), so the
-        atom stack is unitarily equivalent to sqrt(a) times the block diagonal
-        of the b x N matrices V_s. Each V_s has full rank b: M * sigma^2 over
-        its singular values sigma are eigenvalues of S, so
-        sigma_min / sigma_max >= sqrt(A/B) > 1e-5."""
+        """a*b for every frame window g. The adjoint atoms span the windows
+        whose block rows lie in the row space of each Zak block Z_g; a frame
+        has c*d blocks of full rank p, and c*d*p^2 = a*b."""
         return self.lat.a * self.lat.b
 
     @property
     def dimension(self) -> int:
         return self.lat.L - self.orbit_rank
 
+    def _free(self, coeffs: np.ndarray) -> np.ndarray:
+        """The signals with blocks C @ null^H, C = coeffs of shape (..., dimension)."""
+        null = self.analysis.null
+        C = coeffs.reshape(*coeffs.shape[:-1], *self.analysis.Z.shape[:-1], null.shape[-1])
+        return self.analysis.inverse(C @ _ct(null))
+
     @property
     def complement_basis(self) -> np.ndarray:
-        """The rows of W as a dense (dimension, L) matrix, built on each read."""
-        lat, s = self.lat, np.arange(self.lat.a)
-        basis = np.zeros((lat.a, lat.N - lat.b, lat.N, lat.a), dtype=np.complex128)
-        basis[s, :, :, s] = self.class_rows
-        return basis.reshape(-1, lat.L)
+        """The orthonormal basis of W as a dense (dimension, L) matrix, built on each read."""
+        return self._free(np.eye(self.dimension, dtype=np.complex128))
 
     def to_dict(self) -> dict:
-        """Each row as its class s and its N [re, im] values at x = s + t*a."""
+        """Each basis row as its class s mod c and its L/c [re, im] values at x = s + t*c."""
+        c, classes = self.analysis.c, np.arange(self.analysis.c)
+        values = self.complement_basis.reshape(c, -1, self.lat.L // c, c)[classes, :, :, classes]
         return {
             "orbit_rank": self.orbit_rank,
             "dimension": self.dimension,
             "complement_basis": [
                 {"residue": s, "values": row}
-                for s, rows in enumerate(_pairs(self.class_rows)) for row in rows
+                for s, rows in enumerate(_pairs(values)) for row in rows
             ],
         }
 
@@ -138,17 +137,12 @@ def _flat_residual(lat: GaborLattice, folds: np.ndarray) -> float:
 
 
 def dual_space(lat: GaborLattice, g: np.ndarray) -> DualSpace:
-    """The canonical dual and the residue-class rows of W.
-
-    On class s, W is the orthogonal complement of the rows of V_s (see
-    DualSpace.orbit_rank), the fold's lagged gather; the complete QR
-    V_s^H = Q_s R_s gives it as the rows conj(Q_s[:, b:]).T.
+    """The canonical dual and W, both read from one frame analysis of g.
 
     Raises NotAFrameError (via the canonical dual) when g is not a frame.
     """
-    canonical = canonical_dual(lat, g)
-    Q = np.linalg.qr(np.conj(np.transpose(_lagged(lat, g))), mode="complete")[0]
-    return DualSpace(lat, canonical, np.conj(np.swapaxes(Q[..., lat.b:], -1, -2)))
+    analysis = _FrameAnalysis(lat, g)
+    return DualSpace(lat, analysis.power(-1.0), analysis)
 
 
 def make_alternate_dual(lat: GaborLattice, g: np.ndarray, coeffs) -> np.ndarray:
@@ -156,11 +150,8 @@ def make_alternate_dual(lat: GaborLattice, g: np.ndarray, coeffs) -> np.ndarray:
     space = dual_space(lat, g)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.shape != (space.dimension,):
-        raise ValueError(
-            f"expected {space.dimension} coefficients, got shape {coeffs.shape}"
-        )
-    free = np.einsum("si,sit->ts", coeffs.reshape(lat.a, -1), space.class_rows)
-    return space.canonical_dual + free.reshape(lat.L)
+        raise ValueError(f"expected {space.dimension} coefficients, got shape {coeffs.shape}")
+    return space.canonical_dual + space._free(coeffs)
 
 
 def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray, tol: float = 1e-9) -> DualReport:
@@ -173,17 +164,16 @@ def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray, tol: float =
     unitary image of the signal, so its norm is ||Z_free V||_F.
     """
     require_length(lat, g, h)
-    analysis = _FrameAnalysis(lat, g)
-    canonical = analysis.power(-1.0)
-    free = np.asarray(h, dtype=np.complex128) - canonical
-    in_complement = analysis.orbit_norm(free) <= tol
+    space = dual_space(lat, g)
+    free = np.asarray(h, dtype=np.complex128) - space.canonical_dual
+    in_complement = float(np.linalg.norm(space.analysis.forward(free) @ space.analysis.V)) <= tol
     folds = _folds(lat, h, g)
     wr, walnut = _biorthogonality_residual(lat, folds), _flat_residual(lat, folds)
     return DualReport(
         is_dual=wr <= tol and walnut <= tol and in_complement,
         wexler_raz_residual=wr,
         walnut_residual=walnut,
-        canonical_part=canonical,
+        canonical_part=space.canonical_dual,
         free_part=free,
         free_part_in_complement=in_complement,
     )

@@ -9,11 +9,13 @@ gathered by one fixed permutation, are c*d blocks Z_f of shape p x q_w,
 and S acts on every block as Z_f -> (L/p) * Z_g Z_g^H Z_f. One batched
 eigh of the smaller Gram blocks gives the bounds and, for frames, each
 block's thin SVD U Sigma V^H, with sigma read as row norms of U^H Z_g
-(to eps*kappa; the eigenvalues hold sigma^2 only to eps*kappa^2) for S^-1 g
-and the polar factor S^-1/2 g (Janssen-Strohmer 2002). O(L log L) time,
-O(L) memory. S commutes with every lattice operator, so S^-1 g and
-S^-1/2 g generate Weyl-Heisenberg systems again. Reconstruction,
-sum <f, h_mn> g_mn, acts on the blocks as Z_f -> (L/p) * Z_g Z_h^H Z_f.
+(to eps*kappa; the eigenvalues hold sigma^2 only to eps*kappa^2) for S^-1 g,
+polished by one Newton-Schulz step, the polar factor S^-1/2 g
+(Janssen-Strohmer 2002) and the bases of null(Z_g) that span the dual
+space. O(L log L) time, O(L) memory. S commutes with every lattice
+operator, so S^-1 g and S^-1/2 g generate Weyl-Heisenberg systems again.
+Reconstruction, sum <f, h_mn> g_mn, acts on the blocks as
+Z_f -> (L/p) * Z_g Z_h^H Z_f.
 The norm audit reads the correlation fold of the adjoint lattice (q, p).
 
 Near-singular operators are rejected rather than inverted: one gate,
@@ -123,10 +125,11 @@ class _FrameAnalysis:
         return np.fft.fft(classes, axis=1, norm="ortho")[:, self.W]
 
     def inverse(self, Z: np.ndarray) -> np.ndarray:
-        """The signal whose Zak blocks are Z: scatter, then inverse DFTs."""
-        spectra = np.empty((self.c, self.lat.L // self.c), dtype=np.complex128)
-        spectra[:, self.W] = Z
-        return np.fft.ifft(spectra, axis=1, norm="ortho").T.reshape(self.lat.L)
+        """The signals whose Zak blocks are Z, shape (..., c, d, p, q_w)."""
+        batch = Z.shape[:-4]
+        spectra = np.empty((*batch, self.c, self.lat.L // self.c), dtype=np.complex128)
+        spectra[..., self.W] = Z
+        return np.swapaxes(np.fft.ifft(spectra, norm="ortho"), -1, -2).reshape(*batch, self.lat.L)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -160,18 +163,31 @@ class _FrameAnalysis:
             return self.inverse(self.scale * (self.gram if h is None else self.Z @ ZhH) @ Zf)
         return self.inverse(self.scale * self.Z @ ((_ct(self.Z) if h is None else ZhH) @ Zf))
 
+    @cached_property
+    def V(self) -> np.ndarray:
+        """V = R^H Sigma^-1, the right singular vectors of every block (frames only)."""
+        R, sigma = self.rows
+        return _ct(R) / sigma[..., None, :]
+
+    @cached_property
+    def null(self) -> np.ndarray:
+        """Orthonormal bases of null(Z_g), shape (c, d, q_w, q_w - p): the unit-eigenvalue
+        eigenvectors of I - V V^H, which has eigenvalues 0 and 1 only (frames only)."""
+        p, q_w = self.Z.shape[-2:]
+        return np.linalg.eigh(np.eye(q_w) - self.V @ _ct(self.V))[1][..., p:]
+
     def power(self, power: float) -> np.ndarray:
-        """S^power g = inverse(U ((L/p) sigma^2)^power R); NotAFrameError if no frame."""
+        """S^power g = inverse(U ((L/p) sigma^2)^power R); NotAFrameError if no frame. For
+        S^-1 g, one Newton-Schulz step Z_h <- 2 Z_h - E^H Z_h squares the error I - E of
+        the dual certificate E = (L/p) Z_g Z_h^H = I on blocks ill-conditioned by themselves."""
         if not self.bounds.is_frame:
             raise NotAFrameError(f"lower frame bound {self.bounds.A:.3e} vanishes "
                                  f"(upper bound {self.bounds.B:.3e})")
         R, sigma = self.rows
-        return self.inverse(self.eig[1] @ ((self.scale * sigma**2)[..., None] ** power * R))
-
-    def orbit_norm(self, f: np.ndarray) -> float:
-        """||Z_f V||_F, V = R^H Sigma^-1: the norm of f's part in the span of g's adjoint atoms."""
-        R, sigma = self.rows
-        return float(np.linalg.norm(self.forward(f) @ _ct(R) / sigma[..., None, :]))
+        Zh = self.eig[1] @ ((self.scale * sigma**2)[..., None] ** power * R)
+        if power == -1:
+            Zh = 2 * Zh - self.scale * (Zh @ _ct(self.Z)) @ Zh
+        return self.inverse(Zh)
 
 
 def _ct(Z: np.ndarray) -> np.ndarray:

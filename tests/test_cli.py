@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from math import gcd
 
 import numpy as np
 import pytest
@@ -225,10 +226,11 @@ class TestDualCommands:
         path = write_input(tmp_path, "g.json", {"L": L, "a": a, "b": b, "g": g.tolist()})
         assert main(["dual", "--input", path]) == 0
         rows = json.loads(capsys.readouterr().out)["dual_space"]["complement_basis"]
+        c = gcd(a, lat.M)  # c < a at (36, 4, 6) and (60, 4, 10)
         expanded = np.zeros((len(rows), L), dtype=complex)
         for i, row in enumerate(rows):
-            assert len(row["values"]) == lat.N
-            expanded[i, row["residue"]::a] = np.array(row["values"]).view(complex)[:, 0]
+            assert len(row["values"]) == L // c
+            expanded[i, row["residue"]::c] = np.array(row["values"]).view(complex)[:, 0]
         basis = dual_space(lat, g.view(complex)[:, 0]).complement_basis
         assert np.array_equal(expanded, basis)
 

@@ -154,9 +154,9 @@ def test_only_the_oracle_lists_atoms():
 
 
 def test_only_the_oracle_takes_svds():
-    """Frame spectra come from one eigh of Zak Gram blocks, in
-    _FrameAnalysis, and the rows of W from one QR, in dual_space; an SVD is
-    the oracle's independent route."""
+    """Frame spectra come from one eigh of the Zak Gram blocks and the null
+    bases of the blocks from one eigh of I - V V^H, both in _FrameAnalysis;
+    no QR is taken, and an SVD is the oracle's independent route."""
     factorizations = []
     for path in sorted(Path(whframe.__file__).parent.glob("*.py")):
         if path.name == "oracle.py":
@@ -169,5 +169,4 @@ def test_only_the_oracle_takes_svds():
                     assert name not in ("svd", "svdvals", "eigvalsh"), f"{path.name}:{node.lineno}"
                     if name in ("eigh", "qr"):
                         factorizations.append((name, path.name, getattr(top, "name", None)))
-    assert sorted(factorizations) == [("eigh", "frame.py", "_FrameAnalysis"),
-                                      ("qr", "duality.py", "dual_space")]
+    assert factorizations == [("eigh", "frame.py", "_FrameAnalysis")] * 2

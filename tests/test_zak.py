@@ -19,6 +19,7 @@ from whframe import (
     canonical_dual,
     classify,
     decompose_dual,
+    dual_space,
     frame_bounds,
     make_alternate_dual,
     reconstruct,
@@ -102,16 +103,20 @@ def test_over_dense_bounds_skip_the_large_gram(a, b):
     assert abs(fast.B - slow.B) <= REL * slow.B
 
 
-@pytest.mark.parametrize("fn", [frame_bounds, canonical_dual, tighten, reconstruct])
+@pytest.mark.parametrize("fn", [frame_bounds, canonical_dual, tighten, reconstruct,
+                                dual_space, make_alternate_dual])
 def test_kernel_memory_is_linear(fn):
     # 64 complex values per sample; b x b Walnut blocks alone would take 14.7 MB,
-    # and reconstruct's N x L translate stack 14.1 MB
+    # reconstruct's N x L translate stack 14.1 MB, and the residue-class QR
+    # of the dual space peaked at 70.9 MiB
     lat = GaborLattice(1920, 2, 480)
     rng = np.random.default_rng(14)
-    signals = [random_signal(rng, lat.L) for _ in range(3 if fn is reconstruct else 1)]
+    args = [random_signal(rng, lat.L) for _ in range(3 if fn is reconstruct else 1)]
+    if fn is make_alternate_dual:
+        args.append(random_signal(rng, lat.L - lat.a * lat.b))
     tracemalloc.start()
     try:
-        fn(lat, *signals)
+        fn(lat, *args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -154,6 +159,14 @@ def test_decompose_dual_builds_one_analysis_and_one_fold(builds):
     builds["lattices"].clear()
     assert decompose_dual(lat, g, h).is_dual
     assert builds == {"lattices": [lat], "folds": 1}
+
+
+def test_alternate_dual_builds_one_analysis_and_no_fold(builds):
+    # S^-1 g and the null bases of W come from the one analysis
+    lat = GaborLattice(48, 4, 6)
+    rng = np.random.default_rng(20)
+    make_alternate_dual(lat, random_signal(rng, lat.L), random_signal(rng, lat.L - lat.a * lat.b))
+    assert builds == {"lattices": [lat], "folds": 0}
 
 
 def test_reconstruct_builds_one_analysis(builds):
