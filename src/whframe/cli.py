@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import correlation_profile, frame_energy_split, walnut_upper_bound
+from .correlation import _frame_energy_split, _walnut_upper_bound, correlation_profile
 from .duality import decompose_dual, dual_space, wexler_raz_check
-from .frame import _FrameAnalysis, _norm_audit, frame_bounds, walnut_apply
+from .frame import _FrameAnalysis, _norm_audit
 from .lattice import GaborLattice, _pairs, as_signal, dft, norm_sq
 from .synthesis import PhaseSpec, random_tight_generator, tight_generator_from_phases
 from .tightness import _classify, _density_diagnostics, classify
@@ -151,10 +151,7 @@ def _cmd_analyze(data: ParsedInput, config: JobConfig):
 def _cmd_check_tight(data: ParsedInput, config: JobConfig):
     (g,) = _require(data, "g")
     report = classify(data.lat, g, config.tol)
-    out = {
-        **_header(data.lat),
-        "tightness": report.to_dict(),
-    }
+    out = {**_header(data.lat), "tightness": report.to_dict()}
     return (0 if report.normalized_tight else 1), out
 
 
@@ -186,22 +183,15 @@ def _cmd_dual(data: ParsedInput, config: JobConfig):
 def _cmd_verify_dual(data: ParsedInput, config: JobConfig):
     g, h = _require(data, "g", "h")
     report = decompose_dual(data.lat, g, h, config.tol)
-    out = {
-        **_header(data.lat),
-        "dual_report": report.to_dict(),
-    }
+    out = {**_header(data.lat), "dual_report": report.to_dict()}
     return (0 if report.is_dual else 1), out
 
 
 def _cmd_wexler_raz(data: ParsedInput, config: JobConfig):
     g, h = _require(data, "g", "h")
     residual = wexler_raz_check(data.lat, g, h)
-    out = {
-        **_header(data.lat),
-        "residual": residual,
-        "is_dual": residual <= config.tol,
-    }
-    return (0 if residual <= config.tol else 1), out
+    out = {**_header(data.lat), "residual": residual, "is_dual": residual <= config.tol}
+    return (0 if out["is_dual"] else 1), out
 
 
 def _cmd_fourier_dual(data: ParsedInput, config: JobConfig):
@@ -222,8 +212,9 @@ def _cmd_fourier_dual(data: ParsedInput, config: JobConfig):
 
 def _cmd_wh_identity(data: ParsedInput, config: JobConfig):
     g, f = _require(data, "g", "f")
-    f1, f2 = frame_energy_split(data.lat, g, f)
-    energy = float(np.real(np.vdot(f, walnut_apply(data.lat, g, f))))
+    analysis = _FrameAnalysis(data.lat, g)
+    f1, f2 = _frame_energy_split(analysis, f)
+    energy = float(np.real(np.vdot(f, analysis.apply(f))))
     scale = 1.0 + norm_sq(f) * norm_sq(g)
     residual = abs(f1 + f2.real - energy)
     holds = residual <= config.tol * scale and abs(f2.imag) <= config.tol * scale
@@ -241,11 +232,11 @@ def _cmd_wh_identity(data: ParsedInput, config: JobConfig):
 
 def _cmd_bounds(data: ParsedInput, config: JobConfig):
     (g,) = _require(data, "g")
-    bounds = frame_bounds(data.lat, g)
+    analysis = _FrameAnalysis(data.lat, g)
     out = {
         **_header(data.lat),
-        "bounds": bounds.to_dict(),
-        "walnut_upper_bound": walnut_upper_bound(data.lat, g),
+        "bounds": analysis.bounds.to_dict(),
+        "walnut_upper_bound": _walnut_upper_bound(analysis),
     }
     return 0, out
 

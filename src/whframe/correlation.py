@@ -9,10 +9,10 @@ at the adjoint-lattice shifts k*q, k in [0, b). The shift k*q repeats mod L
 with period b, so b rows capture every distinct lag exactly. The k = 0 row
 is the lattice power profile; it is real, nonnegative and a-periodic.
 
-One fold serves both lattices: the period-a fold of h * conj(T_{lq} g),
-shape (b, a), tiles to the table, its length-a DFTs are the adjoint
-products, and on the adjoint lattice (q, p) its DFTs are the Gabor
-coefficients <h, atom_g(m, n)>.
+The table is the one direct (b, L) gather of the package, kept because
+its exact bits are the profile output. Its period-a rows are the length-a
+inverse DFTs of the adjoint products of the window's frame analysis, which
+is where the Walnut bound and the energy split read them.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frame import _FrameAnalysis
 from .lattice import GaborLattice, require_length, translate
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "cross_correlation_table",
     "correlation_profile",
     "periodized_correlation",
-    "adjoint_products",
     "walnut_upper_bound",
     "frame_energy_split",
     "wh_identity_terms",
@@ -63,20 +63,14 @@ class CorrelationProfile:
         return "\n".join(lines) + "\n"
 
 
-def _folds(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """F[l, s] = sum_t h(s + t*a) * conj(g(s + t*a - l*q)), shape (b, a):
-    the period-a folds of h * conj(T_{lq} g), O(b*L) work. Tiled, they are
-    the cross-correlation table; their length-a DFTs, the adjoint products.
-    On GaborLattice(L, q, p), row n folds h * conj(T_{na} g) to period M."""
+def cross_correlation_table(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Table of sum_n h(x - n*a) * conj(g(x - n*a - k*q)), shape (b, L): the
+    period-a folds of h * conj(T_{kq} g), tiled. O(b*L) work and memory."""
     require_length(lat, h, g)
     x = np.arange(lat.L) - lat.q * np.arange(lat.b)[:, None]
     lagged = np.asarray(g, dtype=np.complex128)[x % lat.L].reshape(lat.b, lat.N, lat.a)
-    return (np.asarray(h, dtype=np.complex128).reshape(lat.N, lat.a) * np.conj(lagged)).sum(axis=1)
-
-
-def cross_correlation_table(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Table of sum_n h(x - n*a) * conj(g(x - n*a - k*q)), shape (b, L)."""
-    return np.tile(_folds(lat, h, g), lat.N)
+    folds = (np.asarray(h, dtype=np.complex128).reshape(lat.N, lat.a) * np.conj(lagged)).sum(axis=1)
+    return np.tile(folds, lat.N)
 
 
 def correlation_profile(lat: GaborLattice, g: np.ndarray) -> CorrelationProfile:
@@ -104,15 +98,6 @@ def periodized_correlation(h: np.ndarray, g: np.ndarray, shift: int, fold_period
     return product.reshape(L // fold_period, fold_period).sum(axis=0)
 
 
-def adjoint_products(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """All a*b inner products <h, adjoint_atom(g, k, l)>, shape (a, b).
-
-    Column l is the length-a DFT of row l of the fold F, which is
-    periodized_correlation(h, g, l*q, a).
-    """
-    return np.fft.fft(_folds(lat, h, g), axis=1).T
-
-
 def walnut_upper_bound(lat: GaborLattice, g: np.ndarray) -> float:
     """Diagonal-sum estimate M * max_x sum_k |Gk[k][x]|.
 
@@ -120,7 +105,13 @@ def walnut_upper_bound(lat: GaborLattice, g: np.ndarray) -> float:
     test on the frame operator's diagonal-sum form); it is attained when
     the off-diagonal rows vanish, e.g. for tight windows.
     """
-    return float(lat.M * np.max(np.sum(np.abs(_folds(lat, g, g)), axis=0)))
+    return _walnut_upper_bound(_FrameAnalysis(lat, g))
+
+
+def _walnut_upper_bound(analysis: _FrameAnalysis) -> float:
+    """walnut_upper_bound from the (g, g) products; [s, k] is Gk[k][s]."""
+    folds = np.fft.ifft(analysis.products(), axis=0)
+    return float(analysis.lat.M * np.max(np.sum(np.abs(folds), axis=1)))
 
 
 def frame_energy_split(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> tuple[float, complex]:
@@ -134,10 +125,15 @@ def frame_energy_split(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> tuple
     where F1 + F2 equals the coefficient energy exactly. F2 is returned as
     a complex number; its imaginary part is pure roundoff because the
     k and b-k terms are conjugate. Both Gk and the lagged products of f
-    are a-periodic folds, so lag row k is M * sum_s F_gg[k, s] * conj(F_ff[k, s]).
+    are a-periodic folds, the inverse DFTs of the (g, g) and (f, f) adjoint
+    products A, so by Parseval lag row k is (M/a) * sum_j A_gg[j, k] * conj(A_ff[j, k]).
     """
-    require_length(lat, g, f)
-    rows = lat.M * np.sum(_folds(lat, g, g) * np.conj(_folds(lat, f, f)), axis=1)
+    return _frame_energy_split(_FrameAnalysis(lat, g), f)
+
+
+def _frame_energy_split(analysis: _FrameAnalysis, f: np.ndarray) -> tuple[float, complex]:
+    lat, A_ff = analysis.lat, _FrameAnalysis(analysis.lat, f).products()
+    rows = lat.M / lat.a * np.sum(analysis.products() * np.conj(A_ff), axis=0)
     return float(rows[0].real), complex(np.sum(rows[1:]))
 
 

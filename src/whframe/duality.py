@@ -9,6 +9,10 @@ equivalent to that identity and to each other:
   * flat cross-correlation: the (h, g) correlation table has constant
     row 0 equal to b/L and vanishing other rows.
 
+Both read the a*b adjoint products <h, E_{kp} T_{lq} g> off the cross-Gram
+blocks Z_h Z_g^H of g's frame analysis: the first directly, the second
+through their length-a inverse DFTs, which are the table's period-a rows.
+
 The set of all duals is the affine space S^-1 g + W, where W is the
 orthogonal complement of the span of the a*b adjoint atoms of g. On the
 Zak blocks of g (Zibulski-Zeevi 1997) that span is the set of windows
@@ -26,9 +30,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .correlation import _folds
 from .frame import _FrameAnalysis, _ct
-from .lattice import GaborLattice, _pairs, require_length
+from .lattice import GaborLattice, _pairs
 
 __all__ = [
     "DualSpace",
@@ -75,9 +78,11 @@ class DualSpace:
         return self._free(np.eye(self.dimension, dtype=np.complex128))
 
     def to_dict(self) -> dict:
-        """Each basis row as its class s mod c and its L/c [re, im] values at x = s + t*c."""
-        c, classes = self.analysis.c, np.arange(self.analysis.c)
-        values = self.complement_basis.reshape(c, -1, self.lat.L // c, c)[classes, :, :, classes]
+        """Each basis row as its class s mod c and its L/c [re, im] values at x = s + t*c.
+        Signal r of the c-fold tiled identity is basis row r of every class at once."""
+        c = self.analysis.c
+        signals = self._free(np.tile(np.eye(self.dimension // c, dtype=np.complex128), c))
+        values = signals.reshape(-1, self.lat.L // c, c).transpose(2, 0, 1)
         return {
             "orbit_rank": self.orbit_rank,
             "dimension": self.dimension,
@@ -110,30 +115,24 @@ def wexler_raz_check(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
     Worst of |<h, g> - a*b/L| and |<h, adjoint_atom(k, l)>| over all
     (k, l) != (0, 0); at most tol means h is a dual.
     """
-    return _biorthogonality_residual(lat, _folds(lat, h, g))
+    return _certificates(lat, _FrameAnalysis(lat, g).products(h))[0]
 
 
 def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
     """Cross-correlation residual, equivalent to the biorthogonality test.
 
-    Builds Hk[k][x] = sum_n h(x - n*a) conj(g(x - n*a - k*q)) and returns
-    the worst of |Hk[0] - b/L| and |Hk[k != 0]|.
+    The worst of |Hk[0] - b/L| and |Hk[k != 0]| over the table
+    Hk[k][x] = sum_n h(x - n*a) conj(g(x - n*a - k*q)).
     """
-    return _flat_residual(lat, _folds(lat, h, g))
+    return _certificates(lat, _FrameAnalysis(lat, g).products(h))[1]
 
 
-def _biorthogonality_residual(lat: GaborLattice, folds: np.ndarray) -> float:
-    """wexler_raz_check from the (h, g) folds: their length-a DFTs are the
-    adjoint products."""
-    products = np.fft.fft(folds, axis=1)
+def _certificates(lat: GaborLattice, products: np.ndarray) -> tuple[float, float]:
+    """Both certificates from the (h, g) adjoint products less a*b/L at (0, 0), in place:
+    wexler_raz_check is their largest modulus, dual_conditions_walnut that of their
+    length-a inverse DFTs, which are the period-a rows of Hk less b/L in row 0."""
     products[0, 0] -= lat.a * lat.b / lat.L
-    return float(np.max(np.abs(products)))
-
-
-def _flat_residual(lat: GaborLattice, folds: np.ndarray) -> float:
-    """dual_conditions_walnut from the (h, g) folds, which tile the table."""
-    return float(max(np.max(np.abs(folds[0] - lat.b / lat.L)),
-                     np.max(np.abs(folds[1:]), initial=0.0)))
+    return float(np.max(np.abs(products))), float(np.max(np.abs(np.fft.ifft(products, axis=0))))
 
 
 def dual_space(lat: GaborLattice, g: np.ndarray) -> DualSpace:
@@ -163,12 +162,10 @@ def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray, tol: float =
     V = R^H Sigma^-1 from the thin SVD Z_g = U Sigma V^H; the blocks are a
     unitary image of the signal, so its norm is ||Z_free V||_F.
     """
-    require_length(lat, g, h)
     space = dual_space(lat, g)
+    wr, walnut = _certificates(lat, space.analysis.products(h))
     free = np.asarray(h, dtype=np.complex128) - space.canonical_dual
     in_complement = float(np.linalg.norm(space.analysis.forward(free) @ space.analysis.V)) <= tol
-    folds = _folds(lat, h, g)
-    wr, walnut = _biorthogonality_residual(lat, folds), _flat_residual(lat, folds)
     return DualReport(
         is_dual=wr <= tol and walnut <= tol and in_complement,
         wexler_raz_residual=wr,

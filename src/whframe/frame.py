@@ -15,8 +15,10 @@ polished by one Newton-Schulz step, the polar factor S^-1/2 g
 space. O(L log L) time, O(L) memory. S commutes with every lattice
 operator, so S^-1 g and S^-1/2 g generate Weyl-Heisenberg systems again.
 Reconstruction, sum <f, h_mn> g_mn, acts on the blocks as
-Z_f -> (L/p) * Z_g Z_h^H Z_f.
-The norm audit reads the correlation fold of the adjoint lattice (q, p).
+Z_f -> (L/p) * Z_g Z_h^H Z_f. The a*b adjoint products <h, E_{kp} T_{lq} g>
+are a fixed gather, twiddles and a c x b DFT of the blocks Z_h Z_g^H
+(Janssen's representation in Zak form): every tightness and dual certificate
+reads them, and on the adjoint lattice (q, p) they are the Gabor coefficients.
 
 Near-singular operators are rejected rather than inverted: one gate,
 A > FRAME_FLOOR * B, decides "frame" everywhere in the package.
@@ -30,7 +32,6 @@ from math import gcd
 
 import numpy as np
 
-from .correlation import _folds, cross_correlation_table
 from .errors import NotAFrameError
 from .lattice import GaborLattice, norm_sq, require_length
 
@@ -105,22 +106,38 @@ def _zak_layout(lat: GaborLattice) -> tuple[int, np.ndarray]:
     return c, W
 
 
+@lru_cache(maxsize=64)
+def _products_layout(lat: GaborLattice) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into each cross-Gram block X[e], shape (P, b), P = b/d = a/c, and
+    twiddles, shape (c, P, 1). With r = j + n*P, <h, E_{rp} T_{lq} g> is the DFT over
+    (e, l') at (n, l) of exp(-2*pi*i*e*j/a) * X[e, u, i, (i + j*q_w) mod P], where
+    (i, u) = divmod(l' - j*N mod b, d). Not in _zak_layout: it holds a*b/c indices."""
+    c, W = _zak_layout(lat)
+    d, P, q_w = W.shape
+    j = np.arange(P)[:, None]
+    i, u = np.divmod((np.arange(lat.b) - lat.N * j) % lat.b, d)
+    flat = (u * P + i) * P + (i + q_w * j) % P
+    twiddle = np.exp(-2j * np.pi / lat.a * (np.arange(c)[:, None] * np.arange(P)))[..., None]
+    flat.flags.writeable = twiddle.flags.writeable = False
+    return flat, twiddle
+
+
 class _FrameAnalysis:
     """The Zak blocks of one (lattice, window) pair, shape (c, d, p, q_w).
     Every frame quantity of the window reads them and one batched eigh of
     the smaller Gram blocks, computed on first use."""
 
     def __init__(self, lat: GaborLattice, g: np.ndarray):
-        require_length(lat, g)
         self.lat = lat
-        self.g = np.asarray(g, dtype=np.complex128)
         self.c, self.W = _zak_layout(lat)
-        self.Z = self.forward(self.g)
+        self.Z = self.forward(g)
+        self.g = np.asarray(g, dtype=np.complex128)
         p, q_w = self.W.shape[1:]
         self.scale, self.wide = lat.L / p, p <= q_w  # wide: density <= 1
 
     def forward(self, f: np.ndarray) -> np.ndarray:
         """Zak blocks of f: gathered unitary DFTs of its c residue classes."""
+        require_length(self.lat, f)
         classes = np.asarray(f, dtype=np.complex128).reshape(-1, self.c).T
         return np.fft.fft(classes, axis=1, norm="ortho")[:, self.W]
 
@@ -163,6 +180,16 @@ class _FrameAnalysis:
             return self.inverse(self.scale * (self.gram if h is None else self.Z @ ZhH) @ Zf)
         return self.inverse(self.scale * self.Z @ ((_ct(self.Z) if h is None else ZhH) @ Zf))
 
+    def products(self, h: np.ndarray | None = None) -> np.ndarray:
+        """The adjoint products <h, E_{kp} T_{lq} g> (h = g by default), shape (a, b),
+        from the a*b entries of the cross-Gram blocks Z_h Z_g^H; see _products_layout."""
+        flat, twiddle = _products_layout(self.lat)
+        Zh = self.Z if h is None else self.forward(h)
+        T = (self.gram if h is None and self.wide else Zh @ _ct(self.Z)).reshape(self.c, -1)[:, flat]
+        T = np.fft.fft(T, axis=2)
+        T *= twiddle
+        return np.fft.fft(T, axis=0).reshape(self.lat.a, self.lat.b)
+
     @cached_property
     def V(self) -> np.ndarray:
         """V = R^H Sigma^-1, the right singular vectors of every block (frames only)."""
@@ -197,18 +224,18 @@ def _ct(Z: np.ndarray) -> np.ndarray:
 
 def frame_operator(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
     """Dense frame operator, shape (L, L), filled from its Walnut diagonals
-    S[x, x - k*q] = M * Gk[k][x]."""
+    S[x, x - k*q] = M * Gk[k][x]; the period-a rows of Gk are the length-a
+    inverse DFTs of the adjoint products."""
     x = np.arange(lat.L)
     columns = (x - lat.q * np.arange(lat.b)[:, None]) % lat.L
     S = np.zeros((lat.L, lat.L), dtype=np.complex128)
-    S[x, columns] = lat.M * cross_correlation_table(lat, g, g)
+    S[x, columns] = lat.M * np.tile(np.fft.ifft(_FrameAnalysis(lat, g).products().T), lat.N)
     return S
 
 
 def walnut_apply(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Apply S to f on the Zak blocks, without assembling S; equal to the
     diagonal-sum form output(x) = M * sum_{k<b} Gk[k][x] * f(x - k*q)."""
-    require_length(lat, g, f)
     return _FrameAnalysis(lat, g).apply(f)
 
 
@@ -234,7 +261,6 @@ def reconstruct(lat: GaborLattice, g: np.ndarray, h: np.ndarray, f: np.ndarray) 
     every f exactly when h is a dual window of g, which is the operational
     duality test. On the Zak blocks of g it is Z_f -> (L/p) Z_g Z_h^H Z_f.
     """
-    require_length(lat, g, h, f)
     return _FrameAnalysis(lat, g).apply(f, h)
 
 
@@ -253,8 +279,8 @@ def _norm_audit(analysis: _FrameAnalysis, tol: float) -> NormAudit:
     at_bound = abs(nsq - B) <= tol * B
     max_overlap = orthogonal = None
     if at_bound:
-        # the adjoint lattice's fold, DFT'd: [n, m] is <g, atom(m, n)>, (0, 0) is g
-        overlaps = np.abs(np.fft.fft(_folds(GaborLattice(lat.L, lat.q, lat.p), g, g), axis=1))
+        # the adjoint lattice's adjoint products: [m, n] is <g, atom(m, n)>, (0, 0) is g
+        overlaps = np.abs(_FrameAnalysis(GaborLattice(lat.L, lat.q, lat.p), g).products())
         overlaps[0, 0] = 0.0
         max_overlap = float(np.max(overlaps))
         orthogonal = max_overlap <= tol * nsq

@@ -97,11 +97,6 @@ def flat_spectrum_residual(z: np.ndarray, flat_value: float) -> float:
     return float(np.max(np.abs(np.abs(spectrum) ** 2 - flat_value)))
 
 
-def _residue_rows(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
-    """Rows y = 0..a-1 of z_y(n) = g(y + n*a), shape (a, N)."""
-    return np.asarray(g, dtype=np.complex128).reshape(lat.N, lat.a).T
-
-
 def tight_generator_from_phases(spec: PhaseSpec) -> np.ndarray:
     """Build the tight generator a phase array encodes.
 
@@ -127,7 +122,8 @@ def phases_from_tight_generator(lat: GaborLattice, g: np.ndarray, tol: float = 1
             f"phase extraction needs a*b == L, got {lat.a}*{lat.b} != {lat.L}"
         )
     require_length(lat, g)
-    spectra = np.fft.fft(_residue_rows(lat, g), axis=1, norm="ortho")
+    rows = np.asarray(g, dtype=np.complex128).reshape(lat.N, lat.a).T  # z_y(n) = g(y + n*a)
+    spectra = np.fft.fft(rows, axis=1, norm="ortho")
     deviation = float(np.max(np.abs(np.abs(spectra) - lat.L ** -0.5)))
     if deviation > tol:
         raise NotTightError(

@@ -14,7 +14,9 @@ and only if any one of the following holds, and then all of them do:
   (5) the system is a frame and S g = g.
 
 Each check returns a residual; the criterion holds when the residual is
-at most the tolerance. classify() aggregates the residuals with the frame
+at most the tolerance. Criteria (2)-(4) read the (g, g) adjoint products
+of the window's one frame analysis, (2) through their length-a inverse
+DFTs, and (5) its S g. classify() aggregates the residuals with the frame
 bounds and the basis flags: the system is an orthonormal basis iff it is
 normalized tight with a unit-norm window, and a frame is a Riesz basis
 iff it has exactly L atoms (M*N == L, i.e. a*b == L).
@@ -26,15 +28,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .correlation import _folds, adjoint_products
-from .duality import (
-    _biorthogonality_residual,
-    _flat_residual,
-    dual_conditions_walnut,
-    wexler_raz_check,
-)
+from .duality import _certificates, dual_conditions_walnut, wexler_raz_check
 from .frame import FrameBounds, _FrameAnalysis
-from .lattice import GaborLattice, _pairs, dft, inner, norm_sq
+from .lattice import GaborLattice, _pairs, dft, norm_sq
 
 __all__ = [
     "TightnessReport",
@@ -140,15 +136,14 @@ def classify(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> TightnessRe
 
 
 def _classify(analysis: _FrameAnalysis, tol: float) -> TightnessReport:
-    """classify on one Zak analysis; criteria (2)-(4) read one (g, g) fold."""
+    """classify on one Zak analysis; criteria (2)-(4) read its (g, g) adjoint products."""
     lat, g, bounds = analysis.lat, analysis.g, analysis.bounds
     is_frame = bounds.is_frame
     tight = is_frame and bounds.B - bounds.A <= tol * bounds.B
     tight_constant = (bounds.A + bounds.B) / 2 if tight else None
     normalized_tight = is_frame and abs(bounds.A - 1.0) <= tol and abs(bounds.B - 1.0) <= tol
     onb = normalized_tight and abs(norm_sq(g) ** 0.5 - 1.0) <= tol
-    folds = _folds(lat, g, g)
-    adjoint = _biorthogonality_residual(lat, folds)  # criteria (3) and (4)
+    adjoint, flat = _certificates(lat, analysis.products())  # criteria (3)-(4), (2)
     return TightnessReport(
         bounds=bounds,
         is_frame=is_frame,
@@ -156,7 +151,7 @@ def _classify(analysis: _FrameAnalysis, tol: float) -> TightnessReport:
         normalized_tight=normalized_tight,
         onb=onb,
         riesz_basis=is_frame and lat.atom_count == lat.L,
-        cond2_residual=_flat_residual(lat, folds),
+        cond2_residual=flat,
         cond3_residual=adjoint,
         cond4_residual=adjoint,
         cond5_residual=_fixed_point_residual(analysis),
@@ -169,11 +164,9 @@ def density_diagnostics(lat: GaborLattice, g: np.ndarray) -> DensityReport:
 
 
 def _density_diagnostics(analysis: _FrameAnalysis) -> DensityReport:
-    lat, g = analysis.lat, analysis.g
-    dual = analysis.power(-1.0)
-    pairing = inner(dual, g)
-    expected = lat.a * lat.b / lat.L
-    off_origin = np.abs(adjoint_products(lat, dual, g)).ravel()[1:]
+    lat, products = analysis.lat, analysis.products(analysis.power(-1.0))
+    pairing, expected = complex(products[0, 0]), lat.a * lat.b / lat.L
+    off_origin = np.abs(products).ravel()[1:]
     return DensityReport(
         dual_pairing=pairing,
         expected_pairing=expected,

@@ -37,7 +37,6 @@ from whframe import (
     tighten,
 )
 from whframe.cli import main
-from whframe.correlation import _folds, adjoint_products
 from whframe.frame import FRAME_FLOOR, FrameBounds, _FrameAnalysis
 from whframe.oracle import (
     analysis_array,
@@ -164,16 +163,16 @@ class TestAgainstOracle:
 
     def test_coefficients(self, lat, kind, g):
         f = random_signal(np.random.default_rng(lat.L + 1), lat.L)
-        # analysis_array rows are m-major; the adjoint lattice's folds give
-        # rows n, columns m
-        dense = (analysis_array(lat, g) @ f).reshape(lat.M, lat.N).T
-        folds = _folds(GaborLattice(lat.L, lat.q, lat.p), f, g)
-        assert rel_err(np.fft.fft(folds, axis=1), dense) <= REL
+        # analysis_array rows are m-major, and so are the adjoint products
+        # on the adjoint lattice
+        dense = (analysis_array(lat, g) @ f).reshape(lat.M, lat.N)
+        products = _FrameAnalysis(GaborLattice(lat.L, lat.q, lat.p), g).products(f)
+        assert rel_err(products, dense) <= REL
 
     def test_adjoint_residuals(self, lat, kind, g):
         gram = oracle_adjoint_gram(lat, g)
         # row 0 of the Gram matrix is <g, adjoint_atom(k, l)>, k-major
-        assert rel_err(adjoint_products(lat, g, g).ravel(), gram[0]) <= REL
+        assert rel_err(_FrameAnalysis(lat, g).products().ravel(), gram[0]) <= REL
         gap = abs(norm_sq(g) - lat.a * lat.b / lat.L)
         expected = max(gap, float(np.max(np.abs(np.triu(gram, 1)), initial=0.0)))
         assert check_cond_orthogonal_system(lat, g) == pytest.approx(expected, rel=REL)
@@ -240,7 +239,7 @@ def test_adjoint_products_match_atom_loop():
         g, h = random_signal(rng, L), random_signal(rng, L)
         loop = np.array([[inner(h, adjoint_atom(lat, g, k, l)) for l in range(b)]
                          for k in range(a)])
-        assert rel_err(adjoint_products(lat, h, g), loop) <= 1e-12
+        assert rel_err(_FrameAnalysis(lat, g).products(h), loop) <= 1e-12
 
 
 class TestFrameGate:

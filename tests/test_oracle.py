@@ -170,3 +170,25 @@ def test_only_the_oracle_takes_svds():
                     if name in ("eigh", "qr"):
                         factorizations.append((name, path.name, getattr(top, "name", None)))
     assert factorizations == [("eigh", "frame.py", "_FrameAnalysis")] * 2
+
+
+def test_only_the_profile_takes_the_lag_gather():
+    """The (b, L) lag gather lives in cross_correlation_table, which only
+    correlation_profile calls; every other correlation quantity reads the
+    adjoint products of _FrameAnalysis, and frame.py imports nothing from
+    correlation."""
+    callers = []
+    for path in sorted(Path(whframe.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            assert getattr(top, "name", None) not in ("_folds", "adjoint_products"), path.name
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name == "cross_correlation_table":
+                        callers.append((path.name, getattr(top, "name", None)))
+                if path.name == "frame.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                    assert not any("correlation" in n for n in names), node.lineno
+    assert callers == [("correlation.py", "correlation_profile")]
