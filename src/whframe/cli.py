@@ -54,6 +54,8 @@ class JobConfig:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.format not in (None, "json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.format!r}")
+        if self.format == "csv" and self.command != "profile":
+            raise ValueError(f"command {self.command!r} has no CSV format")
 
 
 @dataclass(frozen=True)
@@ -287,9 +289,6 @@ def _write_output(text: str, path: str | None) -> None:
 
 def run(config: JobConfig) -> int:
     """Execute one job; returns the process exit code."""
-    if config.format == "csv" and config.command != "profile":
-        _emit_error(ValueError(f"command {config.command!r} has no CSV format"))
-        return 2
     try:
         data = parse_signal_file(config.input_path)
         code, payload = _HANDLERS[config.command](data, config)
@@ -306,11 +305,26 @@ def _emit_error(e: Exception) -> None:
     sys.stderr.write(json.dumps(obj) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise instead of exiting, so main reports them as JSON."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _tolerance(flag: float | None) -> float:
+    """--tol, else WHFRAME_TOL, else DEFAULT_TOL."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get("WHFRAME_TOL", "")
+    try:
+        return float(raw) if raw else DEFAULT_TOL
+    except ValueError:
+        raise ValueError(f"WHFRAME_TOL is not a number: {raw!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="whframe",
-        description="Finite Weyl-Heisenberg frame analysis on Z_L.",
-    )
+    parser = _Parser(prog="whframe", description="Finite Weyl-Heisenberg frame analysis on Z_L.")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--input", required=True, help="input JSON file")
     parser.add_argument("--output", default=None, help="output file (default: stdout)")
@@ -319,26 +333,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
     parser.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (csv only for profile)")
-    args = parser.parse_args(argv)
-
-    tol = args.tol
-    if tol is None:
-        raw = os.environ.get("WHFRAME_TOL", "")
-        try:
-            tol = float(raw) if raw else DEFAULT_TOL
-        except ValueError:
-            _emit_error(ValueError(f"WHFRAME_TOL is not a number: {raw!r}"))
-            return 2
     try:
-        config = JobConfig(
-            command=args.command,
-            input_path=args.input,
-            output_path=args.output,
-            tol=tol,
-            seed=args.seed,
-            format=args.format,
-        )
-    except ValueError as e:
+        args = parser.parse_args(argv)
+        config = JobConfig(args.command, args.input, args.output, _tolerance(args.tol),
+                           args.seed, args.format)
+    except (argparse.ArgumentError, ValueError) as e:
         _emit_error(e)
         return 2
     return run(config)

@@ -9,10 +9,11 @@ at the adjoint-lattice shifts k*q, k in [0, b). The shift k*q repeats mod L
 with period b, so b rows capture every distinct lag exactly. The k = 0 row
 is the lattice power profile; it is real, nonnegative and a-periodic.
 
-The table is the one direct (b, L) gather of the package, kept because
-its exact bits are the profile output. Its period-a rows are the length-a
-inverse DFTs of the adjoint products of the window's frame analysis, which
-is where the Walnut bound and the energy split read them.
+Row k of the table is periodized_correlation(g, g, k*q, a), the fold of
+g * conj(T_{kq} g) over period a, repeated N times; the table is built from
+those b folds and holds no more memory than itself. Its period-a rows are
+the length-a inverse DFTs of the adjoint products of the window's frame
+analysis, which is where the Walnut bound and the energy split read them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import _FrameAnalysis
-from .lattice import GaborLattice, require_length, translate
+from .lattice import GaborLattice, as_signal, translate
 
 __all__ = [
     "CorrelationProfile",
@@ -64,13 +65,13 @@ class CorrelationProfile:
 
 
 def cross_correlation_table(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Table of sum_n h(x - n*a) * conj(g(x - n*a - k*q)), shape (b, L): the
-    period-a folds of h * conj(T_{kq} g), tiled. O(b*L) work and memory."""
-    require_length(lat, h, g)
-    x = np.arange(lat.L) - lat.q * np.arange(lat.b)[:, None]
-    lagged = np.asarray(g, dtype=np.complex128)[x % lat.L].reshape(lat.b, lat.N, lat.a)
-    folds = (np.asarray(h, dtype=np.complex128).reshape(lat.N, lat.a) * np.conj(lagged)).sum(axis=1)
-    return np.tile(folds, lat.N)
+    """Table of sum_n h(x - n*a) * conj(g(x - n*a - k*q)), shape (b, L): row k is
+    periodized_correlation(h, g, k*q, a), tiled N times. O(b*L) work and memory."""
+    h, g = as_signal(h, lat.L), as_signal(g, lat.L)
+    table = np.empty((lat.b, lat.N, lat.a), dtype=np.complex128)
+    for k in range(lat.b):
+        table[k] = periodized_correlation(h, g, k * lat.q, lat.a)
+    return table.reshape(lat.b, lat.L)
 
 
 def correlation_profile(lat: GaborLattice, g: np.ndarray) -> CorrelationProfile:
@@ -87,11 +88,9 @@ def periodized_correlation(h: np.ndarray, g: np.ndarray, shift: int, fold_period
     every nontrivial p-step modulation of translate(g, l*q); the common
     entry is then inner(h, translate(g, shift)) / fold_period.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    g = np.asarray(g, dtype=np.complex128)
-    if len(h) != len(g):
-        raise ValueError(f"signals have lengths {len(h)} and {len(g)}")
+    h = as_signal(h)
     L = len(h)
+    g = as_signal(g, L)
     if fold_period < 1 or L % fold_period:
         raise ValueError(f"fold_period {fold_period} does not divide L={L}")
     product = h * np.conj(translate(g, shift))

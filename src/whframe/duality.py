@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .frame import _FrameAnalysis, _ct
-from .lattice import GaborLattice, _pairs
+from .lattice import GaborLattice, _pairs, as_signal
 
 __all__ = [
     "DualSpace",
@@ -147,10 +147,7 @@ def dual_space(lat: GaborLattice, g: np.ndarray) -> DualSpace:
 def make_alternate_dual(lat: GaborLattice, g: np.ndarray, coeffs) -> np.ndarray:
     """The dual window S^-1 g + sum_i coeffs[i] * complement_basis[i]."""
     space = dual_space(lat, g)
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.shape != (space.dimension,):
-        raise ValueError(f"expected {space.dimension} coefficients, got shape {coeffs.shape}")
-    return space.canonical_dual + space._free(coeffs)
+    return space.canonical_dual + space._free(as_signal(coeffs, space.dimension))
 
 
 def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray, tol: float = 1e-9) -> DualReport:
@@ -164,7 +161,7 @@ def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray, tol: float =
     """
     space = dual_space(lat, g)
     wr, walnut = _certificates(lat, space.analysis.products(h))
-    free = np.asarray(h, dtype=np.complex128) - space.canonical_dual
+    free = as_signal(h, lat.L) - space.canonical_dual
     in_complement = float(np.linalg.norm(space.analysis.forward(free) @ space.analysis.V)) <= tol
     return DualReport(
         is_dual=wr <= tol and walnut <= tol and in_complement,

@@ -33,7 +33,7 @@ from math import gcd
 import numpy as np
 
 from .errors import NotAFrameError
-from .lattice import GaborLattice, norm_sq, require_length
+from .lattice import GaborLattice, as_signal, norm_sq
 
 __all__ = [
     "FRAME_FLOOR",
@@ -130,16 +130,18 @@ class _FrameAnalysis:
     def __init__(self, lat: GaborLattice, g: np.ndarray):
         self.lat = lat
         self.c, self.W = _zak_layout(lat)
-        self.Z = self.forward(g)
-        self.g = np.asarray(g, dtype=np.complex128)
+        self.g = as_signal(g, lat.L)
+        self.Z = self._blocks(self.g)
         p, q_w = self.W.shape[1:]
         self.scale, self.wide = lat.L / p, p <= q_w  # wide: density <= 1
 
     def forward(self, f: np.ndarray) -> np.ndarray:
-        """Zak blocks of f: gathered unitary DFTs of its c residue classes."""
-        require_length(self.lat, f)
-        classes = np.asarray(f, dtype=np.complex128).reshape(-1, self.c).T
-        return np.fft.fft(classes, axis=1, norm="ortho")[:, self.W]
+        """Zak blocks of f, which enters through as_signal."""
+        return self._blocks(as_signal(f, self.lat.L))
+
+    def _blocks(self, f: np.ndarray) -> np.ndarray:
+        """Zak blocks of a checked signal: gathered unitary DFTs of its c residue classes."""
+        return np.fft.fft(f.reshape(-1, self.c).T, axis=1, norm="ortho")[:, self.W]
 
     def inverse(self, Z: np.ndarray) -> np.ndarray:
         """The signals whose Zak blocks are Z, shape (..., c, d, p, q_w)."""

@@ -2,7 +2,9 @@
 
 Everything lives on the cyclic group Z_L. A lattice is a pair of steps
 (a, b), both dividing L: translations advance by a samples, modulations by
-b frequency bins. Signals are plain 1-d complex numpy arrays of length L.
+b frequency bins. Signals are plain 1-d complex numpy arrays of length L;
+as_signal is the one gate every signal passes on its way into the library,
+and it rejects wrong shapes, wrong lengths and non-finite entries.
 
 The adjoint lattice swaps the roles of the steps: its translations move by
 q = L/b samples and its modulations by p = L/a bins. Inner products are
@@ -22,7 +24,6 @@ from .errors import LatticeError
 __all__ = [
     "GaborLattice",
     "as_signal",
-    "require_length",
     "translate",
     "modulate",
     "gabor_atom",
@@ -102,7 +103,7 @@ def as_signal(values, L: int | None = None) -> np.ndarray:
         raise ValueError(f"signal must be one-dimensional, got shape {s.shape}")
     if L is not None and s.shape[0] != L:
         raise ValueError(f"signal has length {s.shape[0]}, expected {L}")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ValueError("signal contains non-finite entries")
     return s
 
@@ -111,13 +112,6 @@ def _pairs(s) -> list:
     """Complex values as nested [re, im] float lists (JSON; as_signal reads them)."""
     s = np.asarray(s, dtype=np.complex128)
     return np.stack([s.real, s.imag], axis=-1).tolist()
-
-
-def require_length(lat: GaborLattice, *signals: np.ndarray) -> None:
-    """Raise ValueError if any signal does not have the lattice length."""
-    for s in signals:
-        if len(s) != lat.L:
-            raise ValueError(f"signal has length {len(s)}, expected L={lat.L}")
 
 
 def translate(s: np.ndarray, t: int) -> np.ndarray:
@@ -137,10 +131,7 @@ def gabor_atom(lat: GaborLattice, g: np.ndarray, m: int, n: int) -> np.ndarray:
     Indices are periodic (period M in m, N in n) and are reduced into the
     canonical ranges, so any integers are accepted.
     """
-    require_length(lat, g)
-    m %= lat.M
-    n %= lat.N
-    return modulate(translate(g, n * lat.a), m, lat)
+    return modulate(translate(as_signal(g, lat.L), n % lat.N * lat.a), m % lat.M, lat)
 
 
 def adjoint_atom(lat: GaborLattice, g: np.ndarray, k: int, l: int) -> np.ndarray:
@@ -150,11 +141,8 @@ def adjoint_atom(lat: GaborLattice, g: np.ndarray, k: int, l: int) -> np.ndarray
     output(x) = exp(2*pi*i*k*p*x/L) * g(x - l*q). Indices reduce mod a and
     mod b respectively.
     """
-    require_length(lat, g)
-    k %= lat.a
-    l %= lat.b
-    x = np.arange(lat.L)
-    return np.exp(2j * np.pi * k * lat.p * x / lat.L) * np.roll(g, l * lat.q)
+    shifted = np.roll(as_signal(g, lat.L), l % lat.b * lat.q)
+    return np.exp(2j * np.pi * (k % lat.a) * lat.p * np.arange(lat.L) / lat.L) * shifted
 
 
 def dft(s: np.ndarray) -> np.ndarray:

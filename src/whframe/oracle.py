@@ -3,6 +3,7 @@
 Everything here is assembled from explicit atom enumeration and dense
 linear algebra only; nothing is shared with the correlation or frame
 modules, so agreement between the two routes is evidence, not tautology.
+Every window enters through gabor_atom or adjoint_atom, which check it.
 Cost is O(L^3) and worse by design.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frame import FrameBounds
-from .lattice import GaborLattice, adjoint_atom, gabor_atom, inner, require_length
+from .lattice import GaborLattice, adjoint_atom, gabor_atom, inner
 
 __all__ = [
     "analysis_array",
@@ -25,7 +26,6 @@ __all__ = [
 def analysis_array(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
     """The (M*N, L) coefficient map: row m*N + n applied to f gives
     <f, atom(m, n)>. Rows are m-major, then n."""
-    require_length(lat, g)
     return np.stack([
         np.conj(gabor_atom(lat, g, m, n)) for m in range(lat.M) for n in range(lat.N)
     ])
@@ -51,7 +51,6 @@ def oracle_is_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray, tol: float =
     basis vector (sufficient by linearity): the composite matrix must be
     the identity to within tol, entrywise.
     """
-    require_length(lat, g, h)
     composite = np.conj(analysis_array(lat, g)).T @ analysis_array(lat, h)
     return bool(np.max(np.abs(composite - np.eye(lat.L))) <= tol)
 
@@ -77,7 +76,6 @@ def oracle_adjoint_gram(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
     Entry [i, j] with i = k*b + l, j = k2*b + l2 is
     <adjoint_atom(k, l), adjoint_atom(k2, l2)>.
     """
-    require_length(lat, g)
     atoms = [adjoint_atom(lat, g, k, l) for k in range(lat.a) for l in range(lat.b)]
     n = len(atoms)
     gram = np.empty((n, n), dtype=np.complex128)

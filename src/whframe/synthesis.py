@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import LatticeError, NotAFrameError, NotTightError
 from .frame import tighten
-from .lattice import GaborLattice, norm_sq, require_length
+from .lattice import GaborLattice, as_signal, norm_sq
 
 __all__ = [
     "PhaseSpec",
@@ -80,7 +80,7 @@ def shift_orthogonality_residual(z: np.ndarray, target_norm_sq: float) -> float:
     Worst |<z, roll(z, s)>| over s = 1 .. N-1, combined with the gap
     |norm_sq(z) - target_norm_sq|.
     """
-    z = np.asarray(z, dtype=np.complex128)
+    z = as_signal(z)
     residual = abs(norm_sq(z) - target_norm_sq)
     for s in range(1, len(z)):
         residual = max(residual, abs(np.vdot(np.roll(z, s), z)))
@@ -93,7 +93,7 @@ def flat_spectrum_residual(z: np.ndarray, flat_value: float) -> float:
     Zero here with flat_value v is equivalent to a zero
     shift_orthogonality_residual with target N*v.
     """
-    spectrum = np.fft.fft(np.asarray(z, dtype=np.complex128), norm="ortho")
+    spectrum = np.fft.fft(as_signal(z), norm="ortho")
     return float(np.max(np.abs(np.abs(spectrum) ** 2 - flat_value)))
 
 
@@ -121,8 +121,7 @@ def phases_from_tight_generator(lat: GaborLattice, g: np.ndarray, tol: float = 1
         raise LatticeError(
             f"phase extraction needs a*b == L, got {lat.a}*{lat.b} != {lat.L}"
         )
-    require_length(lat, g)
-    rows = np.asarray(g, dtype=np.complex128).reshape(lat.N, lat.a).T  # z_y(n) = g(y + n*a)
+    rows = as_signal(g, lat.L).reshape(lat.N, lat.a).T  # z_y(n) = g(y + n*a)
     spectra = np.fft.fft(rows, axis=1, norm="ortho")
     deviation = float(np.max(np.abs(np.abs(spectra) - lat.L ** -0.5)))
     if deviation > tol:
@@ -134,12 +133,13 @@ def phases_from_tight_generator(lat: GaborLattice, g: np.ndarray, tol: float = 1
     return PhaseSpec(lat, phases)
 
 
-def random_tight_generator(lat: GaborLattice, seed: int, max_retries: int = 16) -> np.ndarray:
+def random_tight_generator(lat: GaborLattice, seed: int) -> np.ndarray:
     """Seeded random tight generator for any lattice with a*b <= L.
 
     Critical lattices use the phase parametrization with uniform phases;
-    oversampled lattices tighten a complex Gaussian draw, retrying the
-    (practically impossible) event that the draw is not a frame.
+    oversampled lattices tighten one complex Gaussian draw. A Gaussian
+    window is a frame with probability 1; if a draw ever failed the frame
+    gate, tighten would raise NotAFrameError.
     """
     if lat.a * lat.b > lat.L:
         raise NotAFrameError(
@@ -148,10 +148,4 @@ def random_tight_generator(lat: GaborLattice, seed: int, max_retries: int = 16) 
     rng = np.random.default_rng(seed)
     if lat.is_critical:
         return tight_generator_from_phases(PhaseSpec(lat, rng.random((lat.a, lat.b))))
-    for _ in range(max_retries):
-        g = rng.standard_normal(lat.L) + 1j * rng.standard_normal(lat.L)
-        try:
-            return tighten(lat, g)
-        except NotAFrameError:
-            continue
-    raise NotAFrameError(f"no frame found in {max_retries} random draws")
+    return tighten(lat, rng.standard_normal(lat.L) + 1j * rng.standard_normal(lat.L))

@@ -6,7 +6,20 @@ from math import gcd
 import numpy as np
 import pytest
 
-from whframe import GaborLattice, classify, dual_space, random_tight_generator
+from whframe import (
+    GaborLattice,
+    classify,
+    correlation_profile,
+    decompose_dual,
+    density_diagnostics,
+    dual_space,
+    frame_bounds,
+    make_alternate_dual,
+    norm_audit,
+    random_tight_generator,
+    walnut_upper_bound,
+    wexler_raz_check,
+)
 from whframe import cli
 from whframe.cli import JobConfig, _lattice_dict, main, parse_signal_file, run
 
@@ -113,6 +126,25 @@ class TestExitCodes:
     def test_dual_on_non_frame_exits_2(self, impulse_path, capsys):
         assert main(["dual", "--input", impulse_path]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "NotAFrameError"
+
+    @pytest.mark.parametrize("argv", [
+        ["frob", "--input", "x.json"],
+        ["analyze"],
+        ["check-tight", "--input", "x.json", "--tol", "abc"],
+        ["profile", "--input", "x.json", "--format", "xml"],
+    ])
+    def test_usage_errors_exit_2_as_json(self, argv, capsys):
+        # argparse's own errors: unknown command, missing --input, bad --tol, bad --format
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ArgumentError"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["--help"])
+        assert caught.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: whframe")
 
     def test_memory_error_exits_2(self, box_path, capsys, monkeypatch):
         def exhausted(data, config):
@@ -355,9 +387,64 @@ class TestJobConfig:
         with pytest.raises(ValueError):
             JobConfig(command="profile", input_path="x.json", format="xml")
 
+    def test_rejects_csv_outside_profile(self):
+        with pytest.raises(ValueError, match="no CSV format"):
+            JobConfig(command="bounds", input_path="x.json", format="csv")
+
     def test_run_accepts_config_object(self, box_path, capsys):
         assert run(JobConfig(command="check-tight", input_path=box_path)) == 0
         capsys.readouterr()
+
+
+def roundtrip(obj):
+    return json.loads(json.dumps(obj))
+
+
+@pytest.mark.parametrize("L,a,b,kind", [
+    (4, 2, 2, "gaussian"), (6, 1, 1, "gaussian"), (12, 2, 3, "gaussian"), (12, 2, 3, "tight"),
+    (12, 3, 4, "gaussian"), (12, 3, 4, "tight"), (24, 4, 3, "gaussian"), (12, 4, 6, "gaussian"),
+])
+def test_cli_reports_equal_library_reports(tmp_path, capsys, L, a, b, kind):
+    # the CLI's one-analysis helpers must give the public functions' reports
+    lat, tol = GaborLattice(L, a, b), cli.DEFAULT_TOL
+    rng = np.random.default_rng(L * a * b)
+    gaussian = lambda n: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    g = random_tight_generator(lat, 3) if kind == "tight" else gaussian(L)
+    frame = frame_bounds(lat, g).is_frame
+    h = make_alternate_dual(lat, g, gaussian(L - a * b)) if frame else gaussian(L)
+    pairs = lambda s: np.stack([s.real, s.imag], axis=-1).tolist()
+    path = write_input(tmp_path, "in.json", {"L": L, "a": a, "b": b, "g": pairs(g), "h": pairs(h)})
+
+    def report(command, *flags):
+        code = main([command, "--input", path, *flags])
+        return code, json.loads(capsys.readouterr().out)
+
+    tightness = classify(lat, g, tol)
+    code, out = report("check-tight")
+    assert code == (0 if tightness.normalized_tight else 1)
+    assert out["tightness"] == roundtrip(tightness.to_dict())
+    code, out = report("analyze")
+    assert code == (0 if frame else 1)
+    assert out["tightness"] == roundtrip(tightness.to_dict())
+    assert out["norm_audit"] == roundtrip(norm_audit(lat, g, tol).to_dict())
+    assert out["density_diagnostics"] == (
+        roundtrip(density_diagnostics(lat, g).to_dict()) if frame else None)
+    code, out = report("bounds")
+    assert out["bounds"] == roundtrip(frame_bounds(lat, g).to_dict())
+    assert out["walnut_upper_bound"] == walnut_upper_bound(lat, g)
+    residual = wexler_raz_check(lat, g, h)
+    code, out = report("wexler-raz")
+    assert (code, out["residual"], out["is_dual"]) == (
+        0 if residual <= tol else 1, residual, residual <= tol)
+    code, out = report("profile", "--format", "json")
+    table = correlation_profile(lat, g).table
+    assert out["rows"] == roundtrip(
+        [[k, x, v.real, v.imag, abs(v)] for (k, x), v in np.ndenumerate(table)])
+    if frame:  # verify-dual exits 2 on a window that is no frame
+        dual = decompose_dual(lat, g, h, tol)
+        code, out = report("verify-dual")
+        assert code == (0 if dual.is_dual else 1)
+        assert out["dual_report"] == roundtrip(dual.to_dict())
 
 
 def test_console_script_installed(box_path):

@@ -173,10 +173,10 @@ def test_only_the_oracle_takes_svds():
 
 
 def test_only_the_profile_takes_the_lag_gather():
-    """The (b, L) lag gather lives in cross_correlation_table, which only
-    correlation_profile calls; every other correlation quantity reads the
-    adjoint products of _FrameAnalysis, and frame.py imports nothing from
-    correlation."""
+    """The (b, L) table of periodized correlations is built only in
+    cross_correlation_table, which only correlation_profile calls; every
+    other correlation quantity reads the adjoint products of _FrameAnalysis,
+    and frame.py imports nothing from correlation."""
     callers = []
     for path in sorted(Path(whframe.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

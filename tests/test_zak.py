@@ -144,10 +144,19 @@ def test_over_dense_classify_stays_below_the_lag_gather(a):
     assert traced_peak(lambda: classify(lat, g)) < 49.4 * 2**20
 
 
+@pytest.mark.parametrize("a,b", [(2, 480), (8, 120)])
+def test_profile_holds_no_more_than_its_table(a, b):
+    # the rows are b periodized correlations written into the table; the
+    # (b, L) lag gather they replace peaked at 3.5 times the table
+    lat = GaborLattice(1920, a, b)
+    g = random_signal(np.random.default_rng(b), lat.L)
+    assert traced_peak(lambda: correlation.correlation_profile(lat, g)) < 1.25 * lat.b * lat.L * 16
+
+
 @pytest.fixture
 def builds(monkeypatch):
-    """Lattices of every _FrameAnalysis built, and the count of (b, L) lag
-    gathers, which only the profile table takes."""
+    """Lattices of every _FrameAnalysis built, and the count of (b, L)
+    correlation tables, which only the profile takes."""
     seen = {"lattices": [], "tables": 0}
     init, table = _FrameAnalysis.__init__, correlation.cross_correlation_table
 
