@@ -3,122 +3,21 @@
 Decide tightness, construct tight generators from phase arrays, compute
 canonical and alternate dual windows, and cross-check everything against
 a brute-force oracle.
+
+__all__ joins the __all__ lists of the seven modules star-imported below;
+the oracle and the command-line front end stay in their own modules.
 """
 
-from .correlation import (
-    CorrelationProfile,
-    correlation_profile,
-    cross_correlation_table,
-    frame_energy_split,
-    periodized_correlation,
-    walnut_upper_bound,
-    wh_identity_terms,
-)
-from .duality import (
-    DualReport,
-    DualSpace,
-    decompose_dual,
-    dual_conditions_walnut,
-    dual_space,
-    make_alternate_dual,
-    wexler_raz_check,
-)
-from .errors import LatticeError, NotAFrameError, NotTightError
-from .frame import (
-    FrameBounds,
-    NormAudit,
-    canonical_dual,
-    frame_bounds,
-    frame_operator,
-    norm_audit,
-    reconstruct,
-    tighten,
-    walnut_apply,
-)
-from .lattice import (
-    GaborLattice,
-    adjoint_atom,
-    as_signal,
-    dft,
-    gabor_atom,
-    idft,
-    inner,
-    modulate,
-    norm_sq,
-    translate,
-)
-from .synthesis import (
-    PhaseSpec,
-    flat_spectrum_residual,
-    phases_from_tight_generator,
-    random_tight_generator,
-    shift_orthogonality_residual,
-    tight_generator_from_phases,
-)
-from .tightness import (
-    DensityReport,
-    TightnessReport,
-    check_cond_adjoint,
-    check_cond_fixed_point,
-    check_cond_orthogonal_system,
-    check_cond_walnut,
-    classify,
-    density_diagnostics,
-    fourier_dual_check,
-)
+from . import correlation, duality, errors, frame, lattice, synthesis, tightness
+from .correlation import *
+from .duality import *
+from .errors import *
+from .frame import *
+from .lattice import *
+from .synthesis import *
+from .tightness import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GaborLattice",
-    "LatticeError",
-    "NotAFrameError",
-    "NotTightError",
-    "as_signal",
-    "translate",
-    "modulate",
-    "gabor_atom",
-    "adjoint_atom",
-    "dft",
-    "idft",
-    "inner",
-    "norm_sq",
-    "CorrelationProfile",
-    "correlation_profile",
-    "cross_correlation_table",
-    "periodized_correlation",
-    "walnut_upper_bound",
-    "frame_energy_split",
-    "wh_identity_terms",
-    "FrameBounds",
-    "NormAudit",
-    "frame_operator",
-    "walnut_apply",
-    "frame_bounds",
-    "canonical_dual",
-    "tighten",
-    "reconstruct",
-    "norm_audit",
-    "TightnessReport",
-    "DensityReport",
-    "check_cond_walnut",
-    "check_cond_adjoint",
-    "check_cond_orthogonal_system",
-    "check_cond_fixed_point",
-    "classify",
-    "density_diagnostics",
-    "fourier_dual_check",
-    "PhaseSpec",
-    "shift_orthogonality_residual",
-    "flat_spectrum_residual",
-    "tight_generator_from_phases",
-    "phases_from_tight_generator",
-    "random_tight_generator",
-    "DualSpace",
-    "DualReport",
-    "wexler_raz_check",
-    "dual_conditions_walnut",
-    "dual_space",
-    "make_alternate_dual",
-    "decompose_dual",
-]
+__all__ = [name for module in (lattice, errors, correlation, frame, tightness, synthesis, duality)
+           for name in module.__all__]

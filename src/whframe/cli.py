@@ -29,14 +29,13 @@ import numpy as np
 
 from .correlation import _frame_energy_split, _walnut_upper_bound, correlation_profile
 from .duality import decompose_dual, dual_space, wexler_raz_check
-from .frame import _FrameAnalysis, _norm_audit
+from .frame import DEFAULT_TOL, _FrameAnalysis, _norm_audit
 from .lattice import GaborLattice, _pairs, as_signal, dft, norm_sq
 from .synthesis import PhaseSpec, random_tight_generator, tight_generator_from_phases
 from .tightness import _classify, _density_diagnostics, classify
 
 __all__ = ["JobConfig", "parse_signal_file", "run", "main", "entry_point"]
 
-DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class JobConfig:
@@ -292,11 +291,11 @@ def run(config: JobConfig) -> int:
     try:
         data = parse_signal_file(config.input_path)
         code, payload = _HANDLERS[config.command](data, config)
+        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
+        _write_output(text, config.output_path)  # a failed write is an I/O error too
     except (ValueError, OSError, MemoryError) as e:  # whframe's errors are ValueErrors
         _emit_error(e)
         return 2
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
-    _write_output(text, config.output_path)
     return code
 
 
@@ -329,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--input", required=True, help="input JSON file")
     parser.add_argument("--output", default=None, help="output file (default: stdout)")
     parser.add_argument("--tol", type=float, default=None,
-                        help="tolerance (default: WHFRAME_TOL env var or 1e-9)")
+                        help=f"tolerance (default: WHFRAME_TOL env var or {DEFAULT_TOL})")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
     parser.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (csv only for profile)")

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .frame import _FrameAnalysis, _ct
+from .frame import DEFAULT_TOL, _FrameAnalysis, _ct
 from .lattice import GaborLattice, _pairs, as_signal
 
 __all__ = [
@@ -150,7 +150,8 @@ def make_alternate_dual(lat: GaborLattice, g: np.ndarray, coeffs) -> np.ndarray:
     return space.canonical_dual + space._free(as_signal(coeffs, space.dimension))
 
 
-def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray, tol: float = 1e-9) -> DualReport:
+def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray,
+                   tol: float = DEFAULT_TOL) -> DualReport:
     """Split h against the affine description of the dual set.
 
     The free part h - S^-1 g lies in the adjoint-orbit complement exactly

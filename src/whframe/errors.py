@@ -1,5 +1,7 @@
 """Error types shared across the package."""
 
+__all__ = ["LatticeError", "NotAFrameError", "NotTightError"]
+
 
 class LatticeError(ValueError):
     """Lattice parameters are invalid (e.g. a step does not divide L)."""

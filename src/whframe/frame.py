@@ -37,6 +37,7 @@ from .lattice import GaborLattice, as_signal, norm_sq
 
 __all__ = [
     "FRAME_FLOOR",
+    "DEFAULT_TOL",
     "FrameBounds",
     "NormAudit",
     "frame_operator",
@@ -50,6 +51,8 @@ __all__ = [
 
 # Relative eigenvalue floor below which S is treated as singular.
 FRAME_FLOOR = 1e-10
+# Default tolerance of every verdict and certificate, and of the CLI's --tol.
+DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -266,7 +269,7 @@ def reconstruct(lat: GaborLattice, g: np.ndarray, h: np.ndarray, f: np.ndarray) 
     return _FrameAnalysis(lat, g).apply(f, h)
 
 
-def norm_audit(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> NormAudit:
+def norm_audit(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> NormAudit:
     """Check norm_sq(g) <= B; at equality, check g against all other atoms.
 
     Both comparisons are relative (to B and to norm_sq(g)), so no verdict

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frame import FrameBounds
+from .frame import DEFAULT_TOL, FrameBounds
 from .lattice import GaborLattice, adjoint_atom, gabor_atom, inner
 
 __all__ = [
@@ -44,7 +44,8 @@ def oracle_frame_bounds(lat: GaborLattice, g: np.ndarray) -> FrameBounds:
     return FrameBounds(A=A, B=B)
 
 
-def oracle_is_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray, tol: float = 1e-9) -> bool:
+def oracle_is_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray,
+                   tol: float = DEFAULT_TOL) -> bool:
     """Exhaustive reconstruction test of the duality identity.
 
     Analyzing with h and synthesizing with g must reproduce every standard
@@ -55,7 +56,8 @@ def oracle_is_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray, tol: float =
     return bool(np.max(np.abs(composite - np.eye(lat.L))) <= tol)
 
 
-def oracle_tight_constant(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> float | None:
+def oracle_tight_constant(lat: GaborLattice, g: np.ndarray,
+                          tol: float = DEFAULT_TOL) -> float | None:
     """The constant c > 0 with S == c*I, or None (S = 0 is no frame).
 
     S is assembled from the analysis array alone and compared against

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LatticeError, NotAFrameError, NotTightError
-from .frame import tighten
+from .frame import DEFAULT_TOL, tighten
 from .lattice import GaborLattice, as_signal, norm_sq
 
 __all__ = [
@@ -110,7 +110,8 @@ def tight_generator_from_phases(spec: PhaseSpec) -> np.ndarray:
     return rows.T.reshape(lat.L)  # g(y + n*a) = rows[y][n]
 
 
-def phases_from_tight_generator(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> PhaseSpec:
+def phases_from_tight_generator(lat: GaborLattice, g: np.ndarray,
+                                tol: float = DEFAULT_TOL) -> PhaseSpec:
     """Recover the phase array of a tight generator at critical density.
 
     Raises NotTightError if any residue spectrum modulus deviates from

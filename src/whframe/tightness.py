@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .duality import _certificates, dual_conditions_walnut, wexler_raz_check
-from .frame import FrameBounds, _FrameAnalysis
+from .frame import DEFAULT_TOL, FrameBounds, _FrameAnalysis
 from .lattice import GaborLattice, _pairs, dft, norm_sq
 
 __all__ = [
@@ -116,7 +116,7 @@ def _fixed_point_residual(analysis: _FrameAnalysis) -> float:
     return residual if analysis.bounds.is_frame else max(residual, 1.0)
 
 
-def check_cond_fixed_point(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> float:
+def check_cond_fixed_point(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """Fixed-point residual ||S g - g||_inf, forced to fail for non-frames.
 
     S g = g alone does not rule out a singular S (the window can sit in a
@@ -127,7 +127,7 @@ def check_cond_fixed_point(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) 
     return _fixed_point_residual(_FrameAnalysis(lat, g))
 
 
-def classify(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> TightnessReport:
+def classify(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> TightnessReport:
     """Full tightness report: bounds, all four residuals, basis flags.
 
     Tight means a frame with B - A <= tol * B, so no verdict changes when g is scaled.
@@ -176,7 +176,7 @@ def _density_diagnostics(analysis: _FrameAnalysis) -> DensityReport:
     )
 
 
-def fourier_dual_check(lat: GaborLattice, g: np.ndarray, tol: float = 1e-9) -> bool:
+def fourier_dual_check(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Tightness transfers to the Fourier side with the steps swapped.
 
     Classifies (L, a, b) on g and (L, b, a) on dft(g) and returns whether

@@ -1,6 +1,7 @@
 """Shared random-instance generators for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from whframe import GaborLattice, frame_bounds, random_tight_generator
 from whframe.oracle import analysis_array
@@ -21,6 +22,13 @@ def lattice_pool(sizes=SIZES, max_density=None):
                 if max_density is None or a * b <= max_density * L:
                     pool.append(GaborLattice(L, a, b))
     return pool
+
+
+@st.composite
+def lattices(draw, max_L=48):
+    """Hypothesis strategy: any (L, a, b) with L <= max_L and a, b | L."""
+    L = draw(st.integers(1, max_L))
+    return GaborLattice(L, draw(st.sampled_from(divisors(L))), draw(st.sampled_from(divisors(L))))
 
 
 def oracle_operator(lat, g):

@@ -157,6 +157,17 @@ class TestExitCodes:
         assert json.loads(err) == {
             "error": {"type": "MemoryError", "message": "Unable to allocate 14.0 GiB"}}
 
+    @pytest.mark.parametrize("target", ["missing/dir/out.json", "existing-dir", ""])
+    def test_failed_output_write_exits_2(self, box_path, tmp_path, capsys, monkeypatch, target):
+        # a write failure is an I/O error (exit 2), not a failed property (exit 1)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "existing-dir").mkdir()
+        assert main(["check-tight", "--input", box_path, "--output", target]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error" in json.loads(err)
+        assert not list(tmp_path.rglob(".whframe-*.tmp"))
+
     def test_csv_format_rejected_outside_profile(self, box_path, capsys):
         assert main(["bounds", "--input", box_path, "--format", "csv"]) == 2
 

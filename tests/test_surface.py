@@ -1,0 +1,78 @@
+"""The public surface is declared once: the package re-exports each module's
+__all__, every tol parameter defaults to frame.DEFAULT_TOL, and the console
+script named in pyproject.toml resolves.
+"""
+
+import ast
+import dataclasses
+import importlib
+import inspect
+import io
+import pkgutil
+import tokenize
+from pathlib import Path
+
+import pytest
+
+import whframe
+from whframe import DEFAULT_TOL, cli, oracle
+
+EXPORTING = ("lattice", "errors", "correlation", "frame", "tightness", "synthesis", "duality")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def package_modules():
+    # __main__ runs the CLI on import
+    names = [info.name for info in pkgutil.iter_modules(whframe.__path__) if info.name != "__main__"]
+    return [importlib.import_module(f"whframe.{name}") for name in names]
+
+
+def test_package_all_is_the_module_lists():
+    modules = [importlib.import_module(f"whframe.{name}") for name in EXPORTING]
+    expected = [name for module in modules for name in module.__all__]
+    assert whframe.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(whframe, name)
+            assert obj is getattr(module, name)
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == module.__name__  # defined there, not re-exported
+
+
+def test_oracle_and_cli_stay_out_of_the_package():
+    assert not (set(oracle.__all__) | set(cli.__all__)) & set(whframe.__all__)
+
+
+def test_every_tol_default_is_default_tol():
+    defaults = {}
+    for module in package_modules():
+        for name, obj in vars(module).items():
+            callable_here = inspect.isfunction(obj) or dataclasses.is_dataclass(obj)
+            if callable_here and obj.__module__ == module.__name__:
+                tol = inspect.signature(obj).parameters.get("tol")
+                if tol is not None:
+                    defaults[f"{module.__name__}.{name}"] = tol.default
+    public = {name: default for name, default in defaults.items()
+              if not name.rsplit(".", 1)[1].startswith("_")}
+    assert public and all(default is DEFAULT_TOL for default in public.values()), public
+    assert all(default in (DEFAULT_TOL, inspect.Parameter.empty) for default in defaults.values())
+    assert cli.DEFAULT_TOL is DEFAULT_TOL
+
+
+def test_default_tolerance_literal_appears_once():
+    hits = []
+    for path in sorted((ROOT / "src" / "whframe").glob("*.py")):
+        for token in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            if token.type == tokenize.NUMBER and ast.literal_eval(token.string) == DEFAULT_TOL:
+                hits.append((path.name, token.line.strip()))
+    assert hits == [("frame.py", "DEFAULT_TOL = 1e-9")]
+
+
+def test_console_script_target_resolves():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["whframe"] == "whframe.cli:entry_point"
+    module, attr = scripts["whframe"].split(":")
+    assert callable(getattr(importlib.import_module(module), attr))

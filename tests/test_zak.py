@@ -40,15 +40,9 @@ from whframe.oracle import (
     oracle_is_dual,
     oracle_tight_constant,
 )
-from helpers import divisors, oracle_operator, random_signal
+from helpers import lattices, oracle_operator, random_signal
 
 REL = 1e-9
-
-
-@st.composite
-def lattices(draw, max_L=48):
-    L = draw(st.integers(1, max_L))
-    return GaborLattice(L, draw(st.sampled_from(divisors(L))), draw(st.sampled_from(divisors(L))))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
