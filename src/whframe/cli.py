@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import _frame_energy_split, _walnut_upper_bound, correlation_profile
+from .correlation import correlation_profile, frame_energy_split, walnut_upper_bound
 from .duality import decompose_dual, dual_space, wexler_raz_check
-from .frame import DEFAULT_TOL, _FrameAnalysis, _norm_audit
+from .frame import DEFAULT_TOL, frame_bounds, norm_audit, walnut_apply
 from .lattice import GaborLattice, _pairs, as_signal, dft, norm_sq
 from .synthesis import PhaseSpec, random_tight_generator, tight_generator_from_phases
-from .tightness import _classify, _density_diagnostics, classify
+from .tightness import classify, density_diagnostics
 
 __all__ = ["JobConfig", "parse_signal_file", "run", "main", "entry_point"]
 
@@ -109,13 +109,10 @@ def parse_signal_file(path: str) -> ParsedInput:
 
 
 def _require(data: ParsedInput, *names: str) -> list[np.ndarray]:
-    out = []
     for name in names:
-        value = getattr(data, name)
-        if value is None:
+        if getattr(data, name) is None:
             raise ValueError(f"missing required field {name!r} for this command")
-        out.append(value)
-    return out
+    return [getattr(data, name) for name in names]
 
 
 def _lattice_dict(lat: GaborLattice) -> dict:
@@ -136,15 +133,14 @@ def _header(lat: GaborLattice) -> dict:
 
 def _cmd_analyze(data: ParsedInput, config: JobConfig):
     (g,) = _require(data, "g")
-    analysis = _FrameAnalysis(data.lat, g)
-    report = _classify(analysis, config.tol)
+    report = classify(data.lat, g, config.tol)
+    # before norm_audit, which may analyze g on the adjoint lattice
+    density = density_diagnostics(data.lat, g).to_dict() if report.is_frame else None
     out = {
         **_header(data.lat),
         "tightness": report.to_dict(),
-        "norm_audit": _norm_audit(analysis, config.tol).to_dict(),
-        "density_diagnostics": (
-            _density_diagnostics(analysis).to_dict() if report.is_frame else None
-        ),
+        "norm_audit": norm_audit(data.lat, g, config.tol).to_dict(),
+        "density_diagnostics": density,
     }
     return (0 if report.is_frame else 1), out
 
@@ -213,9 +209,8 @@ def _cmd_fourier_dual(data: ParsedInput, config: JobConfig):
 
 def _cmd_wh_identity(data: ParsedInput, config: JobConfig):
     g, f = _require(data, "g", "f")
-    analysis = _FrameAnalysis(data.lat, g)
-    f1, f2 = _frame_energy_split(analysis, f)
-    energy = float(np.real(np.vdot(f, analysis.apply(f))))
+    energy = float(np.real(np.vdot(f, walnut_apply(data.lat, g, f))))
+    f1, f2 = frame_energy_split(data.lat, g, f)  # analyzes f after g
     scale = 1.0 + norm_sq(f) * norm_sq(g)
     residual = abs(f1 + f2.real - energy)
     holds = residual <= config.tol * scale and abs(f2.imag) <= config.tol * scale
@@ -233,11 +228,10 @@ def _cmd_wh_identity(data: ParsedInput, config: JobConfig):
 
 def _cmd_bounds(data: ParsedInput, config: JobConfig):
     (g,) = _require(data, "g")
-    analysis = _FrameAnalysis(data.lat, g)
     out = {
         **_header(data.lat),
-        "bounds": analysis.bounds.to_dict(),
-        "walnut_upper_bound": _walnut_upper_bound(analysis),
+        "bounds": frame_bounds(data.lat, g).to_dict(),
+        "walnut_upper_bound": walnut_upper_bound(data.lat, g),
     }
     return 0, out
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import _FrameAnalysis
+from .frame import _analysis
 from .lattice import GaborLattice, as_signal, translate
 
 __all__ = [
@@ -68,10 +68,7 @@ def cross_correlation_table(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> 
     """Table of sum_n h(x - n*a) * conj(g(x - n*a - k*q)), shape (b, L): row k is
     periodized_correlation(h, g, k*q, a), tiled N times. O(b*L) work and memory."""
     h, g = as_signal(h, lat.L), as_signal(g, lat.L)
-    table = np.empty((lat.b, lat.N, lat.a), dtype=np.complex128)
-    for k in range(lat.b):
-        table[k] = periodized_correlation(h, g, k * lat.q, lat.a)
-    return table.reshape(lat.b, lat.L)
+    return np.tile([_fold(h, g, k * lat.q, lat.a) for k in range(lat.b)], lat.N)
 
 
 def correlation_profile(lat: GaborLattice, g: np.ndarray) -> CorrelationProfile:
@@ -93,8 +90,12 @@ def periodized_correlation(h: np.ndarray, g: np.ndarray, shift: int, fold_period
     g = as_signal(g, L)
     if fold_period < 1 or L % fold_period:
         raise ValueError(f"fold_period {fold_period} does not divide L={L}")
-    product = h * np.conj(translate(g, shift))
-    return product.reshape(L // fold_period, fold_period).sum(axis=0)
+    return _fold(h, g, shift, fold_period)
+
+
+def _fold(h: np.ndarray, g: np.ndarray, shift: int, fold_period: int) -> np.ndarray:
+    """periodized_correlation of two checked signals."""
+    return (h * np.conj(translate(g, shift))).reshape(-1, fold_period).sum(axis=0)
 
 
 def walnut_upper_bound(lat: GaborLattice, g: np.ndarray) -> float:
@@ -104,13 +105,8 @@ def walnut_upper_bound(lat: GaborLattice, g: np.ndarray) -> float:
     test on the frame operator's diagonal-sum form); it is attained when
     the off-diagonal rows vanish, e.g. for tight windows.
     """
-    return _walnut_upper_bound(_FrameAnalysis(lat, g))
-
-
-def _walnut_upper_bound(analysis: _FrameAnalysis) -> float:
-    """walnut_upper_bound from the (g, g) products; [s, k] is Gk[k][s]."""
-    folds = np.fft.ifft(analysis.products(), axis=0)
-    return float(analysis.lat.M * np.max(np.sum(np.abs(folds), axis=1)))
+    folds = np.fft.ifft(_analysis(lat, g).products(), axis=0)  # [s, k] is Gk[k][s]
+    return float(lat.M * np.max(np.sum(np.abs(folds), axis=1)))
 
 
 def frame_energy_split(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> tuple[float, complex]:
@@ -127,12 +123,8 @@ def frame_energy_split(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> tuple
     are a-periodic folds, the inverse DFTs of the (g, g) and (f, f) adjoint
     products A, so by Parseval lag row k is (M/a) * sum_j A_gg[j, k] * conj(A_ff[j, k]).
     """
-    return _frame_energy_split(_FrameAnalysis(lat, g), f)
-
-
-def _frame_energy_split(analysis: _FrameAnalysis, f: np.ndarray) -> tuple[float, complex]:
-    lat, A_ff = analysis.lat, _FrameAnalysis(analysis.lat, f).products()
-    rows = lat.M / lat.a * np.sum(analysis.products() * np.conj(A_ff), axis=0)
+    A_gg = _analysis(lat, g).products()
+    rows = lat.M / lat.a * np.sum(A_gg * np.conj(_analysis(lat, f).products()), axis=0)
     return float(rows[0].real), complex(np.sum(rows[1:]))
 
 

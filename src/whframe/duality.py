@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .frame import DEFAULT_TOL, _FrameAnalysis, _ct
+from .frame import DEFAULT_TOL, _FrameAnalysis, _analysis, _ct
 from .lattice import GaborLattice, _pairs, as_signal
 
 __all__ = [
@@ -115,7 +115,8 @@ def wexler_raz_check(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
     Worst of |<h, g> - a*b/L| and |<h, adjoint_atom(k, l)>| over all
     (k, l) != (0, 0); at most tol means h is a dual.
     """
-    return _certificates(lat, _FrameAnalysis(lat, g).products(h))[0]
+    analysis = _analysis(lat, g)
+    return _certificates(lat, analysis.products(analysis.forward(h)))[0]
 
 
 def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
@@ -124,7 +125,8 @@ def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> f
     The worst of |Hk[0] - b/L| and |Hk[k != 0]| over the table
     Hk[k][x] = sum_n h(x - n*a) conj(g(x - n*a - k*q)).
     """
-    return _certificates(lat, _FrameAnalysis(lat, g).products(h))[1]
+    analysis = _analysis(lat, g)
+    return _certificates(lat, analysis.products(analysis.forward(h)))[1]
 
 
 def _certificates(lat: GaborLattice, products: np.ndarray) -> tuple[float, float]:
@@ -136,17 +138,18 @@ def _certificates(lat: GaborLattice, products: np.ndarray) -> tuple[float, float
 
 
 def dual_space(lat: GaborLattice, g: np.ndarray) -> DualSpace:
-    """The canonical dual and W, both read from one frame analysis of g.
+    """The canonical dual and W, both read from the frame analysis of g.
 
     Raises NotAFrameError (via the canonical dual) when g is not a frame.
     """
-    analysis = _FrameAnalysis(lat, g)
-    return DualSpace(lat, analysis.power(-1.0), analysis)
+    analysis = _analysis(lat, g)
+    return DualSpace(lat, analysis.dual[1].copy(), analysis)
 
 
 def make_alternate_dual(lat: GaborLattice, g: np.ndarray, coeffs) -> np.ndarray:
     """The dual window S^-1 g + sum_i coeffs[i] * complement_basis[i]."""
-    space = dual_space(lat, g)
+    analysis = _analysis(lat, g)
+    space = DualSpace(lat, analysis.dual[1], analysis)  # not returned: shares S^-1 g
     return space.canonical_dual + space._free(as_signal(coeffs, space.dimension))
 
 
@@ -156,19 +159,21 @@ def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray,
 
     The free part h - S^-1 g lies in the adjoint-orbit complement exactly
     when h is a dual; <h - S^-1 g, g> = <h, g> - a*b/L vanishes then too.
-    The orbit part of the free part is Z_free V V^H on the Zak blocks, for
-    V = R^H Sigma^-1 from the thin SVD Z_g = U Sigma V^H; the blocks are a
-    unitary image of the signal, so its norm is ||Z_free V||_F.
+    The orbit part of the free part is Z_free V V^H on the Zak blocks, with Z_free =
+    Z_h - Z_{S^-1 g} and V = R^H Sigma^-1 from the thin SVD Z_g = U Sigma V^H; the
+    blocks are a unitary image of the signal, so its norm is ||Z_free V||_F.
     """
-    space = dual_space(lat, g)
-    wr, walnut = _certificates(lat, space.analysis.products(h))
-    free = as_signal(h, lat.L) - space.canonical_dual
-    in_complement = float(np.linalg.norm(space.analysis.forward(free) @ space.analysis.V)) <= tol
+    analysis = _analysis(lat, g)
+    Z_dual, dual = analysis.dual
+    h = as_signal(h, lat.L)
+    Zh = analysis._blocks(h)
+    wr, walnut = _certificates(lat, analysis.products(Zh))
+    in_complement = float(np.linalg.norm((Zh - Z_dual) @ analysis.V)) <= tol
     return DualReport(
         is_dual=wr <= tol and walnut <= tol and in_complement,
         wexler_raz_residual=wr,
         walnut_residual=walnut,
-        canonical_part=space.canonical_dual,
-        free_part=free,
+        canonical_part=dual.copy(),
+        free_part=h - dual,
         free_part_in_complement=in_complement,
     )

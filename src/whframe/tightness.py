@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .duality import _certificates, dual_conditions_walnut, wexler_raz_check
-from .frame import DEFAULT_TOL, FrameBounds, _FrameAnalysis
+from .frame import DEFAULT_TOL, FrameBounds, _analysis
 from .lattice import GaborLattice, _pairs, dft, norm_sq
 
 __all__ = [
@@ -111,39 +111,29 @@ def check_cond_orthogonal_system(lat: GaborLattice, g: np.ndarray) -> float:
     return check_cond_adjoint(lat, g)
 
 
-def _fixed_point_residual(analysis: _FrameAnalysis) -> float:
-    residual = float(np.max(np.abs(analysis.apply() - analysis.g)))
-    return residual if analysis.bounds.is_frame else max(residual, 1.0)
-
-
 def check_cond_fixed_point(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Fixed-point residual ||S g - g||_inf, forced to fail for non-frames.
-
-    S g = g alone does not rule out a singular S (the window can sit in a
-    unit-eigenvalue eigenspace while S has a kernel), so the residual is
-    floored at 1 when the bounds fail the frame gate. tol is unused: the
-    gate is FRAME_FLOOR, as everywhere.
-    """
-    return _fixed_point_residual(_FrameAnalysis(lat, g))
+    """Fixed-point residual ||S g - g||_inf, floored at 1 for non-frames: classify's
+    cond5_residual. S g = g alone does not rule out a singular S (the window can sit
+    in a unit-eigenvalue eigenspace while S has a kernel). tol is unused: the gate is
+    FRAME_FLOOR, as everywhere."""
+    return classify(lat, g).cond5_residual
 
 
 def classify(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> TightnessReport:
     """Full tightness report: bounds, all four residuals, basis flags.
 
     Tight means a frame with B - A <= tol * B, so no verdict changes when g is scaled.
+    Criteria (2)-(4) read the (g, g) adjoint products of the window's frame analysis.
     """
-    return _classify(_FrameAnalysis(lat, g), tol)
-
-
-def _classify(analysis: _FrameAnalysis, tol: float) -> TightnessReport:
-    """classify on one Zak analysis; criteria (2)-(4) read its (g, g) adjoint products."""
-    lat, g, bounds = analysis.lat, analysis.g, analysis.bounds
+    analysis = _analysis(lat, g)
+    g, bounds = analysis.g, analysis.bounds
     is_frame = bounds.is_frame
     tight = is_frame and bounds.B - bounds.A <= tol * bounds.B
     tight_constant = (bounds.A + bounds.B) / 2 if tight else None
     normalized_tight = is_frame and abs(bounds.A - 1.0) <= tol and abs(bounds.B - 1.0) <= tol
     onb = normalized_tight and abs(norm_sq(g) ** 0.5 - 1.0) <= tol
     adjoint, flat = _certificates(lat, analysis.products())  # criteria (3)-(4), (2)
+    fixed_point = float(np.max(np.abs(analysis.apply() - g)))
     return TightnessReport(
         bounds=bounds,
         is_frame=is_frame,
@@ -154,17 +144,14 @@ def _classify(analysis: _FrameAnalysis, tol: float) -> TightnessReport:
         cond2_residual=flat,
         cond3_residual=adjoint,
         cond4_residual=adjoint,
-        cond5_residual=_fixed_point_residual(analysis),
+        cond5_residual=fixed_point if is_frame else max(fixed_point, 1.0),
     )
 
 
 def density_diagnostics(lat: GaborLattice, g: np.ndarray) -> DensityReport:
     """Frame identities around the canonical dual; raises for non-frames."""
-    return _density_diagnostics(_FrameAnalysis(lat, g))
-
-
-def _density_diagnostics(analysis: _FrameAnalysis) -> DensityReport:
-    lat, products = analysis.lat, analysis.products(analysis.power(-1.0))
+    analysis = _analysis(lat, g)
+    products = analysis.products(analysis._blocks(analysis.dual[1]))
     pairing, expected = complex(products[0, 0]), lat.a * lat.b / lat.L
     off_origin = np.abs(products).ravel()[1:]
     return DensityReport(

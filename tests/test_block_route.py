@@ -36,6 +36,7 @@ from whframe import (
     reconstruct,
     tighten,
 )
+from whframe import frame
 from whframe.cli import main
 from whframe.frame import FRAME_FLOOR, FrameBounds, _FrameAnalysis
 from whframe.oracle import (
@@ -166,7 +167,8 @@ class TestAgainstOracle:
         # analysis_array rows are m-major, and so are the adjoint products
         # on the adjoint lattice
         dense = (analysis_array(lat, g) @ f).reshape(lat.M, lat.N)
-        products = _FrameAnalysis(GaborLattice(lat.L, lat.q, lat.p), g).products(f)
+        analysis = _FrameAnalysis(GaborLattice(lat.L, lat.q, lat.p), g)
+        products = analysis.products(analysis.forward(f))
         assert rel_err(products, dense) <= REL
 
     def test_adjoint_residuals(self, lat, kind, g):
@@ -239,7 +241,8 @@ def test_adjoint_products_match_atom_loop():
         g, h = random_signal(rng, L), random_signal(rng, L)
         loop = np.array([[inner(h, adjoint_atom(lat, g, k, l)) for l in range(b)]
                          for k in range(a)])
-        assert rel_err(_FrameAnalysis(lat, g).products(h), loop) <= 1e-12
+        analysis = _FrameAnalysis(lat, g)
+        assert rel_err(analysis.products(analysis.forward(h)), loop) <= 1e-12
 
 
 class TestFrameGate:
@@ -324,6 +327,7 @@ def test_dual_space_memory():
     # the a*b x L atom stack's SVD would hold an L x L Vh alone
     lat = GaborLattice(480, 16, 15)
     g = random_signal(np.random.default_rng(13), lat.L)
+    frame._cached_analysis.cache_clear()  # a cold call: the analysis is built under the trace
     tracemalloc.start()
     try:
         space = dual_space(lat, g)
@@ -337,6 +341,7 @@ def test_dual_space_memory():
     g = random_signal(np.random.default_rng(13), lat.L)
     coeffs = random_signal(np.random.default_rng(14), lat.L - lat.a * lat.b)
     for call, args in ((dual_space, ()), (make_alternate_dual, (coeffs,))):
+        frame._cached_analysis.cache_clear()  # each call builds its analysis under the trace
         tracemalloc.start()
         try:
             call(lat, g, *args)
@@ -352,6 +357,7 @@ def test_decompose_dual_memory():
     rng = np.random.default_rng(19)
     g = random_signal(rng, lat.L)
     h = make_alternate_dual(lat, g, random_signal(rng, lat.L - lat.a * lat.b))
+    frame._cached_analysis.cache_clear()  # decompose_dual builds its own analysis
     tracemalloc.start()
     try:
         report = decompose_dual(lat, g, h)
@@ -365,6 +371,7 @@ def test_decompose_dual_memory():
 def test_classify_memory_at_unit_steps():
     lat = GaborLattice(960, 1, 1)
     g = random_signal(np.random.default_rng(10), lat.L)
+    frame._cached_analysis.cache_clear()
     tracemalloc.start()
     try:
         report = classify(lat, g)

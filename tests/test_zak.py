@@ -5,8 +5,10 @@ Every frame quantity reads the p x q_w Zak blocks of one _FrameAnalysis;
 the brute-force oracle shares none of that code.
 """
 
+import ast
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from whframe import (
     walnut_apply,
     wexler_raz_check,
 )
-from whframe import correlation
+from whframe import correlation, frame
 from whframe.cli import main
 from whframe.frame import _FrameAnalysis
 from whframe.oracle import (
@@ -57,7 +59,7 @@ def test_zak_kernel_against_oracle(lat, seed):
     assert np.max(np.abs(analysis.inverse(analysis.forward(f)) - f)) <= 1e-12 * np.max(np.abs(f))
     loop = np.array([[inner(h, adjoint_atom(lat, g, k, l)) for l in range(lat.b)]
                      for k in range(lat.a)])
-    assert np.max(np.abs(analysis.products(h) - loop)) <= 1e-12 * np.max(np.abs(loop))
+    assert np.max(np.abs(analysis.products(analysis.forward(h)) - loop)) <= 1e-12 * np.max(np.abs(loop))
     Sf = oracle_operator(lat, g) @ f
     assert np.max(np.abs(walnut_apply(lat, g, f) - Sf)) <= REL * np.max(np.abs(Sf))
     mixed = np.conj(analysis_array(lat, g).T) @ (analysis_array(lat, h) @ f)
@@ -87,6 +89,7 @@ def test_over_dense_lower_bound_is_exactly_zero(L, a, b):
 
 
 def traced_peak(call):
+    frame._cached_analysis.cache_clear()  # a cold call: the analysis is built under the trace
     tracemalloc.start()
     try:
         call()
@@ -150,7 +153,9 @@ def test_profile_holds_no_more_than_its_table(a, b):
 @pytest.fixture
 def builds(monkeypatch):
     """Lattices of every _FrameAnalysis built, and the count of (b, L)
-    correlation tables, which only the profile takes."""
+    correlation tables, which only the profile takes. The analysis cache
+    starts empty, so every analysis a test needs is counted."""
+    frame._cached_analysis.cache_clear()
     seen = {"lattices": [], "tables": 0}
     init, table = _FrameAnalysis.__init__, correlation.cross_correlation_table
 
@@ -180,6 +185,7 @@ def test_decompose_dual_builds_one_analysis_and_no_table(builds):
     g = random_signal(rng, lat.L)
     h = make_alternate_dual(lat, g, random_signal(rng, lat.L - lat.a * lat.b))
     builds["lattices"].clear()
+    frame._cached_analysis.cache_clear()  # decompose_dual on its own
     assert decompose_dual(lat, g, h).is_dual
     assert builds == {"lattices": [lat], "tables": 0}
 
@@ -225,3 +231,99 @@ def test_profile_takes_the_one_table(builds, tmp_path, capsys):
     assert main(["profile", "--input", str(path)]) == 0
     capsys.readouterr()
     assert builds == {"lattices": [], "tables": 1}
+
+
+# The one-entry analysis cache: keyed by the lattice and the window's bytes,
+# read-only inside, fresh arrays out.
+
+def test_design_job_builds_one_analysis_and_one_dual(builds, monkeypatch):
+    # canonical dual, dual space, alternate dual, decomposition and reconstruction
+    # of one window: one block FFT of g, the Gram eigh, the null eigh, one S^-1 g
+    powers, eighs = [], []
+    power, eigh = _FrameAnalysis.power, np.linalg.eigh
+    monkeypatch.setattr(_FrameAnalysis, "power", lambda self, s: powers.append(s) or power(self, s))
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: eighs.append(A.shape) or eigh(A))
+    lat = GaborLattice(48, 4, 6)
+    rng = np.random.default_rng(21)
+    g, f = random_signal(rng, lat.L), random_signal(rng, lat.L)
+    h0 = canonical_dual(lat, g)
+    assert np.array_equal(dual_space(lat, g).canonical_dual, h0)
+    h = make_alternate_dual(lat, g, random_signal(rng, lat.L - lat.a * lat.b))
+    assert decompose_dual(lat, g, h).is_dual
+    assert np.max(np.abs(reconstruct(lat, g, h, f) - f)) <= 1e-12 * np.max(np.abs(f))
+    assert builds == {"lattices": [lat], "tables": 0}
+    assert powers == [-1.0]
+    assert len(eighs) == 2
+
+
+def test_mutated_input_gives_the_fresh_result():
+    lat = GaborLattice(48, 4, 6)
+    g = random_signal(np.random.default_rng(22), lat.L)
+    before = canonical_dual(lat, g)
+    g *= 2.0
+    g[0] += 1.0
+    after = canonical_dual(lat, g)
+    frame._cached_analysis.cache_clear()
+    assert np.array_equal(after, canonical_dual(lat, g.copy()))
+    assert not np.allclose(after, before)
+    assert frame_bounds(lat, g) == _FrameAnalysis(lat, g.copy()).bounds
+
+
+@pytest.mark.parametrize("call", [
+    canonical_dual,
+    tighten,
+    lambda lat, g: dual_space(lat, g).canonical_dual,
+    lambda lat, g: decompose_dual(lat, g, canonical_dual(lat, g)).canonical_part,
+], ids=["canonical_dual", "tighten", "DualSpace.canonical_dual", "DualReport.canonical_part"])
+def test_mutating_a_returned_array_leaves_later_calls_alone(call):
+    lat = GaborLattice(48, 4, 6)
+    g = random_signal(np.random.default_rng(23), lat.L)
+    first = call(lat, g)
+    kept = first.copy()
+    first[:] = 0.0
+    assert np.array_equal(call(lat, g), kept)
+    assert np.array_equal(canonical_dual(lat, g), dual_space(lat, g).canonical_dual)
+
+
+def test_same_bytes_on_two_lattices_give_two_analyses(builds):
+    one, two = GaborLattice(48, 4, 6), GaborLattice(48, 6, 4)
+    g = random_signal(np.random.default_rng(24), 48)
+    bounds = [frame_bounds(one, g), frame_bounds(two, g), frame_bounds(one, g)]
+    assert builds["lattices"] == [one, two, one]  # one entry: going back rebuilds
+    assert bounds[0] == bounds[2] != bounds[1]
+    for lat, fast in zip((one, two), bounds):
+        slow = oracle_frame_bounds(lat, g)
+        assert abs(fast.A - slow.A) <= REL * slow.B and abs(fast.B - slow.B) <= REL * slow.B
+
+
+def test_non_contiguous_view_matches_its_copy(builds):
+    lat = GaborLattice(48, 4, 6)
+    wide = random_signal(np.random.default_rng(25), 2 * lat.L)
+    view = wide[::2]
+    assert not view.flags.c_contiguous
+    from_view = canonical_dual(lat, view)
+    assert np.array_equal(from_view, canonical_dual(lat, view.copy()))
+    assert classify(lat, view) == classify(lat, view.copy())
+    assert builds["lattices"] == [lat]  # the copy has the view's bytes
+
+
+def test_cached_analysis_is_read_only():
+    lat = GaborLattice(48, 4, 6)
+    space = dual_space(lat, random_signal(np.random.default_rng(26), lat.L))
+    analysis = space.analysis
+    for array in (analysis.g, analysis.Z, *analysis.dual):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert space.canonical_dual.flags.writeable
+    assert not np.shares_memory(space.canonical_dual, analysis.dual[1])
+
+
+def test_only_the_cache_builds_analyses():
+    """Every entry point reads its _FrameAnalysis from frame._cached_analysis."""
+    builders = []
+    for path in sorted(Path(frame.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_FrameAnalysis":
+                    builders.append((path.name, getattr(top, "name", None)))
+    assert builders == [("frame.py", "_cached_analysis")]
