@@ -18,9 +18,9 @@ orthogonal complement of the span of the a*b adjoint atoms of g. On the
 Zak blocks of g (Zibulski-Zeevi 1997) that span is the set of windows
 whose block rows lie in the row space of every block Z_g = U Sigma V^H,
 so W is C^p (x) null(Z_g) block by block. The frame analysis that gives
-S^-1 g holds V and the bases of null(Z_g): make_alternate_dual maps
-coefficients onto the blocks with one product, decompose_dual tests
-membership in W as ||Z_free V||_F, and neither builds a basis. At
+S^-1 g holds V and null(Z_g) as p Householder reflectors H_j per block:
+make_alternate_dual maps coefficients C onto the blocks as [0_p | C] H_p ... H_1,
+decompose_dual tests membership in W as ||Z_free V||_F, and neither builds a basis. At
 critical density W = {0}, and the canonical dual is the only dual.
 """
 
@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .frame import DEFAULT_TOL, _FrameAnalysis, _analysis, _ct
+from .frame import DEFAULT_TOL, _FrameAnalysis, _analysis
 from .lattice import GaborLattice, _pairs, as_signal
 
 __all__ = [
@@ -67,10 +67,14 @@ class DualSpace:
         return self.lat.L - self.orbit_rank
 
     def _free(self, coeffs: np.ndarray) -> np.ndarray:
-        """The signals with blocks C @ null^H, C = coeffs of shape (..., dimension)."""
-        null = self.analysis.null
-        C = coeffs.reshape(*coeffs.shape[:-1], *self.analysis.Z.shape[:-1], null.shape[-1])
-        return self.analysis.inverse(C @ _ct(null))
+        """Signals with blocks C @ null^H = [0_p | C] H_p ... H_1, C = coeffs (..., dimension)."""
+        u, w = self.analysis.null
+        p, q_w = u.shape[-2:]
+        Y = np.zeros((*coeffs.shape[:-1], *u.shape), dtype=np.complex128)
+        Y[..., p:] = coeffs.reshape(*Y.shape[:-1], q_w - p)
+        for j in reversed(range(p)):
+            Y -= (Y @ u[..., j, :, None]) * (w[..., j, None, None] * np.conj(u[..., j, None, :]))
+        return self.analysis.inverse(Y)
 
     @property
     def complement_basis(self) -> np.ndarray:

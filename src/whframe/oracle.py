@@ -3,7 +3,7 @@
 Everything here is assembled from explicit atom enumeration and dense
 linear algebra only; nothing is shared with the correlation or frame
 modules, so agreement between the two routes is evidence, not tautology.
-Every window enters through gabor_atom or adjoint_atom, which check it.
+Every window passes as_signal, once per analysis array or through adjoint_atom.
 Cost is O(L^3) and worse by design.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frame import DEFAULT_TOL, FrameBounds
-from .lattice import GaborLattice, adjoint_atom, gabor_atom, inner
+from .lattice import GaborLattice, adjoint_atom, as_signal, inner, modulate, translate
 
 __all__ = [
     "analysis_array",
@@ -25,10 +25,10 @@ __all__ = [
 
 def analysis_array(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
     """The (M*N, L) coefficient map: row m*N + n applied to f gives
-    <f, atom(m, n)>. Rows are m-major, then n."""
-    return np.stack([
-        np.conj(gabor_atom(lat, g, m, n)) for m in range(lat.M) for n in range(lat.N)
-    ])
+    <f, atom(m, n)>. Rows are m-major, then n; g passes as_signal once."""
+    g = as_signal(g, lat.L)
+    return np.conj([modulate(translate(g, n * lat.a), m, lat)
+                    for m in range(lat.M) for n in range(lat.N)])
 
 
 def oracle_frame_bounds(lat: GaborLattice, g: np.ndarray) -> FrameBounds:

@@ -4,7 +4,7 @@ Bounds, spectra, duals, tight windows, reconstructions and the adjoint
 residuals are compared with dense linear algebra on the analysis array
 over a pool that covers critical, 2x and 4x oversampled, a = b = 1,
 over-dense and density-2/3 lattices, with Gaussian, tight, coset-zero and near-singular
-windows. Also: the one frame gate at its boundary, scale-aware tightness,
+windows and windows whose Zak blocks lead with zero or negative entries. Also: the one frame gate at its boundary, scale-aware tightness,
 dual decomposition at A/B = 1e-9, and the memory bounds of classify,
 dual_space, make_alternate_dual and decompose_dual.
 """
@@ -106,7 +106,26 @@ def pool():
             cases.append((lat, "tight", random_tight_generator(lat, int(rng.integers(2**31)))))
         if a * b == L:
             cases.append((lat, "near-singular", near_singular(lat, rng, 1e-6)))
-    return cases
+    return cases + lead_windows()
+
+
+def lead_windows():
+    """Frames whose Zak blocks lead with zeros (rounded) or negative entries, on the
+    oversampled lattices, and a zero-sum integer window at a = b = 1: its one block
+    leads with its DFT at 0, exactly zero, and so does V."""
+    rng = np.random.default_rng(9)
+    cases = []
+    for L, a, b in LATTICES:
+        if a * b < L:
+            lat = GaborLattice(L, a, b)
+            analysis = _FrameAnalysis(lat, random_signal(rng, L))
+            zero, negative = analysis.Z.copy(), analysis.Z.copy()
+            zero[..., :, 0] = 0.0
+            negative[..., 0, 0] = -np.abs(negative[..., 0, 0])
+            cases += [(lat, "zero-lead", analysis.inverse(zero)),
+                      (lat, "negative-lead", analysis.inverse(negative))]
+    g = np.array([3, -1, 2, 0, -4, 1, 1, -2, 0, 5, -3, -2], dtype=complex)
+    return cases + [(GaborLattice(12, 1, 1), "exact-zero-lead", g)]
 
 
 POOL = pool()
@@ -134,7 +153,7 @@ class TestAgainstOracle:
         fast, slow = frame_bounds(lat, g), oracle_frame_bounds(lat, g)
         assert abs(fast.A - slow.A) <= REL * slow.B
         assert abs(fast.B - slow.B) <= REL * slow.B
-        expected = kind in ("gauss", "tight", "near-singular") and lat.a * lat.b <= lat.L
+        expected = kind != "coset0" and lat.a * lat.b <= lat.L
         assert classify(lat, g).is_frame == expected
 
     def test_frame_operator(self, lat, kind, g):
@@ -201,14 +220,22 @@ class TestAgainstOracle:
         assert space.orbit_rank == rank == lat.a * lat.b
         assert space.dimension == lat.L - lat.a * lat.b
         assert basis.shape == (lat.L - rank, lat.L)
-        assert np.max(np.abs(basis @ np.conj(basis.T) - np.eye(len(basis))), initial=0.0) <= REL
+        assert np.max(np.abs(basis @ np.conj(basis.T) - np.eye(len(basis))), initial=0.0) <= 1e-12
         # each row lies on one residue class mod c = gcd(a, M), which is < a
         # on the density-2/3 lattices
         c = gcd(lat.a, lat.M)
         classes = np.any(basis.reshape(len(basis), lat.L // c, c) != 0, axis=1)
         assert np.all(np.sum(classes, axis=1) == 1)
         overlaps = np.abs(np.conj(atoms) @ basis.T)
-        assert np.max(overlaps, initial=0.0) <= REL * np.linalg.norm(g)
+        assert np.max(overlaps, initial=0.0) <= 1e-12 * np.linalg.norm(g)
+        # the rows, from p Householder reflectors per block, span the range of
+        # I - V V^H on every block
+        analysis = _FrameAnalysis(lat, g)
+        if kind == "exact-zero-lead":
+            assert np.all(analysis.V[..., 0, 0] == 0)
+        V, blocks = analysis.V, np.stack([analysis.forward(e) for e in np.eye(lat.L)])
+        projector = analysis.inverse(blocks - blocks @ V @ np.conj(np.swapaxes(V, -1, -2))).T
+        assert np.max(np.abs(basis.T @ np.conj(basis) - projector)) <= 1e-12
         coeffs = random_signal(np.random.default_rng(lat.L + 2), space.dimension)
         h = make_alternate_dual(lat, g, coeffs)
         assert rel_err(h, space.canonical_dual + coeffs @ basis) <= 1e-12

@@ -1,7 +1,10 @@
 import json
+import os
+import re
 import subprocess
 import sys
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -458,7 +461,25 @@ def test_cli_reports_equal_library_reports(tmp_path, capsys, L, a, b, kind):
         assert out["dual_report"] == roundtrip(dual.to_dict())
 
 
-def test_console_script_installed(box_path):
+@pytest.fixture
+def console_scripts(tmp_path, monkeypatch):
+    """The [project.scripts] launchers of pyproject.toml, written as an installer
+    writes them into a directory put first on PATH: each runs its entry point
+    under this interpreter, with the package imported from src."""
+    root = Path(__file__).resolve().parent.parent
+    table = (root / "pyproject.toml").read_text().split("[project.scripts]", 1)[1].split("\n[")[0]
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    for name, module, func in re.findall(r'^([\w-]+)\s*=\s*"([\w.]+):(\w+)"', table, re.M):
+        launcher = bin_dir / name
+        launcher.write_text(
+            f"#!{sys.executable}\nimport sys\nsys.path.insert(0, {str(root / 'src')!r})\n"
+            f"from {module} import {func}\nsys.exit({func}())\n")
+        launcher.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+
+
+def test_console_script_installed(console_scripts, box_path):
     proc = subprocess.run(
         ["whframe", "check-tight", "--input", box_path],
         capture_output=True, text=True,

@@ -76,6 +76,9 @@ class TestDualSpace:
         for row in space.complement_basis:
             assert abs(row[0]) <= 1e-12 and abs(row[2]) <= 1e-12
         assert np.linalg.matrix_rank(space.complement_basis) == 2
+        # the basis is a closed formula: one Householder reflector per Zak block
+        odd = np.array([[0, -1, 0, -1], [0, 1j, 0, -1j]]) * 2 ** -0.5
+        assert np.max(np.abs(space.complement_basis - odd)) <= 1e-15
 
     def test_critical_density_has_unique_dual(self, box):
         lat, g = box

@@ -31,6 +31,18 @@ class TestAnalysisArray:
                 expected = inner(f, gabor_atom(lat, g, m, n))
                 assert coeffs[m * lat.N + n] == pytest.approx(expected, abs=1e-12)
 
+    def test_window_is_gated_once(self, monkeypatch):
+        # the rows are the conjugated gabor_atom stack, built from one checked window
+        lat = GaborLattice(12, 3, 4)
+        g = random_signal(np.random.default_rng(41), lat.L)
+        atoms = np.stack([gabor_atom(lat, g, m, n) for m in range(lat.M) for n in range(lat.N)])
+        calls = []
+        gate = whframe.oracle.as_signal
+        monkeypatch.setattr(whframe.oracle, "as_signal", lambda *a: calls.append(a) or gate(*a))
+        monkeypatch.setattr(whframe.lattice, "as_signal", lambda *a: calls.append(a) or gate(*a))
+        assert np.array_equal(analysis_array(lat, g), np.conj(atoms))
+        assert len(calls) == 1
+
     def test_box_array_is_unitary(self, box):
         lat, g = box
         arr = analysis_array(lat, g)
@@ -154,9 +166,9 @@ def test_only_the_oracle_lists_atoms():
 
 
 def test_only_the_oracle_takes_svds():
-    """Frame spectra come from one eigh of the Zak Gram blocks and the null
-    bases of the blocks from one eigh of I - V V^H, both in _FrameAnalysis;
-    no QR is taken, and an SVD is the oracle's independent route."""
+    """Frame spectra come from one eigh of the Zak Gram blocks in _FrameAnalysis,
+    the one eigh call site; null(Z_g) comes from Householder reflectors of V, no QR
+    is taken, and an SVD is the oracle's independent route."""
     factorizations = []
     for path in sorted(Path(whframe.__file__).parent.glob("*.py")):
         if path.name == "oracle.py":
@@ -169,7 +181,7 @@ def test_only_the_oracle_takes_svds():
                     assert name not in ("svd", "svdvals", "eigvalsh"), f"{path.name}:{node.lineno}"
                     if name in ("eigh", "qr"):
                         factorizations.append((name, path.name, getattr(top, "name", None)))
-    assert factorizations == [("eigh", "frame.py", "_FrameAnalysis")] * 2
+    assert factorizations == [("eigh", "frame.py", "_FrameAnalysis")]
 
 
 def test_only_the_profile_takes_the_lag_gather():

@@ -39,6 +39,18 @@ class TestShiftOrthogonality:
         assert shift_orthogonality_residual(z, 2.0) == pytest.approx(1.0)
 
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 16, 97])
+    def test_matches_the_shift_loop(self, N):
+        # the autocorrelation by one inverse FFT against N - 1 explicit shifts
+        z = random_signal(np.random.default_rng(N + 100), N)
+        for target in (0.0, norm_sq(z)):
+            loop = abs(norm_sq(z) - target)
+            for s in range(1, N):
+                loop = max(loop, abs(np.vdot(np.roll(z, s), z)))
+            fast = shift_orthogonality_residual(z, target)
+            assert abs(fast - loop) <= 1e-12 * max(loop, norm_sq(z))
+
+
 class TestFlatSpectrum:
     def test_impulse_is_flat(self):
         assert flat_spectrum_residual(np.array([1, 0], dtype=complex), 0.5) <= 1e-12
