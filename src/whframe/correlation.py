@@ -12,8 +12,8 @@ is the lattice power profile; it is real, nonnegative and a-periodic.
 Row k of the table is periodized_correlation(g, g, k*q, a), the fold of
 g * conj(T_{kq} g) over period a, repeated N times; the table is built from
 those b folds and holds no more memory than itself. Its period-a rows are
-the length-a inverse DFTs of the adjoint products of the window's frame
-analysis, which is where the Walnut bound and the energy split read them.
+the Walnut table of the window's frame analysis, read off the Zak blocks,
+which is where the Walnut bound and the energy split read them.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ def walnut_upper_bound(lat: GaborLattice, g: np.ndarray) -> float:
     test on the frame operator's diagonal-sum form); it is attained when
     the off-diagonal rows vanish, e.g. for tight windows.
     """
-    folds = np.fft.ifft(_analysis(lat, g).products(), axis=0)  # [s, k] is Gk[k][s]
-    return float(lat.M * np.max(np.sum(np.abs(folds), axis=1)))
+    table = _analysis(lat, g).walnut()  # [s, k] is Gk[k][s]
+    return float(lat.M * np.max(np.sum(np.abs(table), axis=1)))
 
 
 def frame_energy_split(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> tuple[float, complex]:
@@ -120,11 +120,11 @@ def frame_energy_split(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> tuple
     where F1 + F2 equals the coefficient energy exactly. F2 is returned as
     a complex number; its imaginary part is pure roundoff because the
     k and b-k terms are conjugate. Both Gk and the lagged products of f
-    are a-periodic folds, the inverse DFTs of the (g, g) and (f, f) adjoint
-    products A, so by Parseval lag row k is (M/a) * sum_j A_gg[j, k] * conj(A_ff[j, k]).
+    are a-periodic folds, the (g, g) and (f, f) Walnut tables G, so summing
+    over one period, lag row k is M * sum_s G_gg[s, k] * conj(G_ff[s, k]).
     """
-    A_gg = _analysis(lat, g).products()
-    rows = lat.M / lat.a * np.sum(A_gg * np.conj(_analysis(lat, f).products()), axis=0)
+    G_gg = _analysis(lat, g).walnut()
+    rows = lat.M * np.sum(G_gg * np.conj(_analysis(lat, f).walnut()), axis=0)
     return float(rows[0].real), complex(np.sum(rows[1:]))
 
 

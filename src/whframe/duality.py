@@ -9,9 +9,9 @@ equivalent to that identity and to each other:
   * flat cross-correlation: the (h, g) correlation table has constant
     row 0 equal to b/L and vanishing other rows.
 
-Both read the a*b adjoint products <h, E_{kp} T_{lq} g> off the cross-Gram
-blocks Z_h Z_g^H of g's frame analysis: the first directly, the second
-through their length-a inverse DFTs, which are the table's period-a rows.
+Both read the table's period-a rows, which g's frame analysis takes off the
+cross-Gram blocks Z_h Z_g^H: the second directly, the first through their
+length-a DFTs, which are the a*b adjoint products <h, E_{kp} T_{lq} g>.
 
 The set of all duals is the affine space S^-1 g + W, where W is the
 orthogonal complement of the span of the a*b adjoint atoms of g. On the
@@ -120,7 +120,7 @@ def wexler_raz_check(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
     (k, l) != (0, 0); at most tol means h is a dual.
     """
     analysis = _analysis(lat, g)
-    return _certificates(lat, analysis.products(analysis.forward(h)))[0]
+    return _certificates(lat, analysis.walnut(analysis.forward(h)))[0]
 
 
 def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
@@ -130,15 +130,15 @@ def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> f
     Hk[k][x] = sum_n h(x - n*a) conj(g(x - n*a - k*q)).
     """
     analysis = _analysis(lat, g)
-    return _certificates(lat, analysis.products(analysis.forward(h)))[1]
+    return _certificates(lat, analysis.walnut(analysis.forward(h)))[1]
 
 
-def _certificates(lat: GaborLattice, products: np.ndarray) -> tuple[float, float]:
-    """Both certificates from the (h, g) adjoint products less a*b/L at (0, 0), in place:
-    wexler_raz_check is their largest modulus, dual_conditions_walnut that of their
-    length-a inverse DFTs, which are the period-a rows of Hk less b/L in row 0."""
-    products[0, 0] -= lat.a * lat.b / lat.L
-    return float(np.max(np.abs(products))), float(np.max(np.abs(np.fft.ifft(products, axis=0))))
+def _certificates(lat: GaborLattice, table: np.ndarray) -> tuple[float, float]:
+    """Both certificates from the (h, g) Walnut table less b/L in column 0, in place:
+    dual_conditions_walnut is its largest modulus, wexler_raz_check that of its length-a
+    DFTs, which are the adjoint products less a*b/L at (0, 0)."""
+    table[:, 0] -= lat.b / lat.L
+    return float(np.abs(np.fft.fft(table, axis=0)).max()), float(np.abs(table).max())
 
 
 def dual_space(lat: GaborLattice, g: np.ndarray) -> DualSpace:
@@ -171,7 +171,7 @@ def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray,
     Z_dual, dual = analysis.dual
     h = as_signal(h, lat.L)
     Zh = analysis._blocks(h)
-    wr, walnut = _certificates(lat, analysis.products(Zh))
+    wr, walnut = _certificates(lat, analysis.walnut(Zh))
     in_complement = float(np.linalg.norm((Zh - Z_dual) @ analysis.V)) <= tol
     return DualReport(
         is_dual=wr <= tol and walnut <= tol and in_complement,

@@ -15,10 +15,10 @@ polished by one Newton-Schulz step, the polar factor S^-1/2 g
 give null(Z_g), the dual space. O(L log L) time, O(L) memory. S commutes
 with every lattice operator, so S^-1 g and S^-1/2 g generate Weyl-Heisenberg systems again.
 Reconstruction, sum <f, h_mn> g_mn, acts on the blocks as
-Z_f -> (L/p) * Z_g Z_h^H Z_f. The a*b adjoint products <h, E_{kp} T_{lq} g>
-are a fixed gather, twiddles and a c x b DFT of the blocks Z_h Z_g^H
-(Janssen's representation in Zak form): every tightness and dual certificate
-reads them, and on the adjoint lattice (q, p) they are the Gabor coefficients.
+Z_f -> (L/p) * Z_g Z_h^H Z_f. Every tightness and dual certificate reads the
+period-a Walnut table of (h, g): a fixed gather of the blocks Z_h Z_g^H, a length-b
+DFT and, when a/c > 1, a length-a/c inverse DFT. Its columns' length-a DFTs are the
+adjoint products <h, E_{kp} T_{lq} g> (Janssen), on the adjoint lattice the Gabor coefficients.
 
 Near-singular operators are rejected rather than inverted: one gate,
 A > FRAME_FLOOR * B, decides "frame" everywhere in the package.
@@ -117,19 +117,16 @@ def _zak_layout(lat: GaborLattice) -> tuple[int, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _products_layout(lat: GaborLattice) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices into each cross-Gram block X[e], shape (P, b), P = b/d = a/c, and
-    twiddles, shape (c, P, 1). With r = j + n*P, <h, E_{rp} T_{lq} g> is the DFT over
-    (e, l') at (n, l) of exp(-2*pi*i*e*j/a) * X[e, u, i, (i + j*q_w) mod P], where
+def _walnut_layout(lat: GaborLattice) -> np.ndarray:
+    """Flat indices into each cross-Gram block X[e], shape (P, b), P = b/d = a/c: Hk[l][e + c*m]
+    is the DFT over l' at l, then inverse DFT over j at m, of X[e, u, i, (i + j*q_w) mod P],
     (i, u) = divmod(l' - j*N mod b, d). Not in _zak_layout: it holds a*b/c indices."""
-    c, W = _zak_layout(lat)
-    d, P, q_w = W.shape
+    d, P, q_w = _zak_layout(lat)[1].shape
     j = np.arange(P)[:, None]
     i, u = np.divmod((np.arange(lat.b) - lat.N * j) % lat.b, d)
     flat = (u * P + i) * P + (i + q_w * j) % P
-    twiddle = np.exp(-2j * np.pi / lat.a * (np.arange(c)[:, None] * np.arange(P)))[..., None]
-    flat.flags.writeable = twiddle.flags.writeable = False
-    return flat, twiddle
+    flat.flags.writeable = False
+    return flat
 
 
 class _FrameAnalysis:
@@ -158,7 +155,7 @@ class _FrameAnalysis:
         batch = Z.shape[:-4]
         spectra = np.empty((*batch, self.c, self.lat.L // self.c), dtype=np.complex128)
         spectra[..., self.W] = Z
-        return np.swapaxes(np.fft.ifft(spectra, norm="ortho"), -1, -2).reshape(*batch, self.lat.L)
+        return np.fft.ifft(spectra, norm="ortho").swapaxes(-1, -2).reshape(*batch, self.lat.L)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -173,9 +170,9 @@ class _FrameAnalysis:
     @cached_property
     def bounds(self) -> FrameBounds:
         """Extreme block eigenvalues of S; A = 0 when p > q_w (rank at most q_w)."""
-        w = self.scale * self.eig[0]
-        A = max(float(np.min(w)), 0.0) if self.wide else 0.0
-        return FrameBounds(A=A, B=max(float(np.max(w)), 0.0))
+        w = self.eig[0]
+        A = max(float(self.scale * w[..., 0].min()), 0.0) if self.wide else 0.0
+        return FrameBounds(A=A, B=max(float(self.scale * w[..., -1].max()), 0.0))
 
     @cached_property
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -192,15 +189,20 @@ class _FrameAnalysis:
             return self.inverse(self.scale * (self.gram if h is None else self.Z @ ZhH) @ Zf)
         return self.inverse(self.scale * self.Z @ ((_ct(self.Z) if h is None else ZhH) @ Zf))
 
-    def products(self, Zh: np.ndarray | None = None) -> np.ndarray:
-        """The adjoint products <h, E_{kp} T_{lq} g>, shape (a, b), of the window h with Zak
-        blocks Zh (h = g by default), from the cross-Gram blocks Z_h Z_g^H; see _products_layout."""
-        flat, twiddle = _products_layout(self.lat)
+    def walnut(self, Zh: np.ndarray | None = None) -> np.ndarray:
+        """The period-a Walnut table of the window h with Zak blocks Zh (h = g by default),
+        shape (a, b): [s, k] = Hk[k][s] = sum_n h(s - n*a) conj(g(s - n*a - k*q)), from the
+        cross-Gram blocks Z_h Z_g^H; see _walnut_layout."""
         T = (self.gram if Zh is None and self.wide else
-             (self.Z if Zh is None else Zh) @ _ct(self.Z)).reshape(self.c, -1)[:, flat]
-        T = np.fft.fft(T, axis=2)
-        T *= twiddle
-        return np.fft.fft(T, axis=0).reshape(self.lat.a, self.lat.b)
+             (self.Z if Zh is None else Zh) @ _ct(self.Z)).reshape(self.c, -1)
+        T = np.fft.fft(T[:, _walnut_layout(self.lat)], axis=2)
+        if T.shape[1] > 1:  # P > 1: inverse DFT over j, then s = e + c*m
+            T = np.fft.ifft(T, axis=1).swapaxes(0, 1)
+        return T.reshape(self.lat.a, self.lat.b)
+
+    def products(self, Zh: np.ndarray | None = None) -> np.ndarray:
+        """The adjoint products <h, E_{kp} T_{lq} g>, shape (a, b): walnut(Zh)'s column DFTs."""
+        return np.fft.fft(self.walnut(Zh), axis=0)
 
     @cached_property
     def V(self) -> np.ndarray:
@@ -260,17 +262,16 @@ def _analysis(lat: GaborLattice, g: np.ndarray) -> _FrameAnalysis:
 
 def _ct(Z: np.ndarray) -> np.ndarray:
     """The conjugate transpose of every block."""
-    return np.conj(np.swapaxes(Z, -1, -2))
+    return Z.swapaxes(-1, -2).conj()
 
 
 def frame_operator(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
     """Dense frame operator, shape (L, L), filled from its Walnut diagonals
-    S[x, x - k*q] = M * Gk[k][x]; the period-a rows of Gk are the length-a
-    inverse DFTs of the adjoint products."""
+    S[x, x - k*q] = M * Gk[k][x], the period-a Walnut table tiled N times."""
     x = np.arange(lat.L)
     columns = (x - lat.q * np.arange(lat.b)[:, None]) % lat.L
     S = np.zeros((lat.L, lat.L), dtype=np.complex128)
-    S[x, columns] = lat.M * np.tile(np.fft.ifft(_analysis(lat, g).products().T), lat.N)
+    S[x, columns] = lat.M * np.tile(_analysis(lat, g).walnut().T, lat.N)
     return S
 
 
@@ -319,8 +320,7 @@ def norm_audit(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> No
     if at_bound:
         # the adjoint lattice's adjoint products: [m, n] is <g, atom(m, n)>, (0, 0) is g
         overlaps = np.abs(_analysis(GaborLattice(lat.L, lat.q, lat.p), g).products())
-        overlaps[0, 0] = 0.0
-        max_overlap = float(np.max(overlaps))
+        max_overlap = float(np.max(overlaps.ravel()[1:], initial=0.0))
         orthogonal = max_overlap <= tol * nsq
     return NormAudit(
         norm_sq=nsq,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frame import DEFAULT_TOL, FrameBounds
-from .lattice import GaborLattice, adjoint_atom, as_signal, inner, modulate, translate
+from .lattice import GaborLattice, adjoint_atom, as_signal, inner, modulate, norm_sq, translate
 
 __all__ = [
     "analysis_array",
@@ -50,10 +50,11 @@ def oracle_is_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray,
 
     Analyzing with h and synthesizing with g must reproduce every standard
     basis vector (sufficient by linearity): the composite matrix must be
-    the identity to within tol, entrywise.
+    the identity entrywise to within tol * max(1, ||g|| * ||h||), the scale of its rounding.
     """
-    composite = np.conj(analysis_array(lat, g)).T @ analysis_array(lat, h)
-    return bool(np.max(np.abs(composite - np.eye(lat.L))) <= tol)
+    G, H = analysis_array(lat, g), analysis_array(lat, h)  # row 0 is conj of the window
+    scale = max(1.0, (norm_sq(G[0]) * norm_sq(H[0])) ** 0.5)
+    return bool(np.max(np.abs(np.conj(G).T @ H - np.eye(lat.L))) <= tol * scale)
 
 
 def oracle_tight_constant(lat: GaborLattice, g: np.ndarray,

@@ -14,9 +14,9 @@ and only if any one of the following holds, and then all of them do:
   (5) the system is a frame and S g = g.
 
 Each check returns a residual; the criterion holds when the residual is
-at most the tolerance. Criteria (2)-(4) read the (g, g) adjoint products
-of the window's one frame analysis, (2) through their length-a inverse
-DFTs, and (5) its S g. classify() aggregates the residuals with the frame
+at most the tolerance. Criteria (2)-(4) read the (g, g) Walnut table of
+the window's one frame analysis, (3)-(4) through its length-a DFTs, the
+adjoint products, and (5) its S g. classify() aggregates the residuals with the frame
 bounds and the basis flags: the system is an orthonormal basis iff it is
 normalized tight with a unit-norm window, and a frame is a Riesz basis
 iff it has exactly L atoms (M*N == L, i.e. a*b == L).
@@ -123,7 +123,7 @@ def classify(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> Tigh
     """Full tightness report: bounds, all four residuals, basis flags.
 
     Tight means a frame with B - A <= tol * B, so no verdict changes when g is scaled.
-    Criteria (2)-(4) read the (g, g) adjoint products of the window's frame analysis.
+    Criteria (2)-(4) read the (g, g) Walnut table of the window's frame analysis.
     """
     analysis = _analysis(lat, g)
     g, bounds = analysis.g, analysis.bounds
@@ -132,8 +132,8 @@ def classify(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> Tigh
     tight_constant = (bounds.A + bounds.B) / 2 if tight else None
     normalized_tight = is_frame and abs(bounds.A - 1.0) <= tol and abs(bounds.B - 1.0) <= tol
     onb = normalized_tight and abs(norm_sq(g) ** 0.5 - 1.0) <= tol
-    adjoint, flat = _certificates(lat, analysis.products())  # criteria (3)-(4), (2)
-    fixed_point = float(np.max(np.abs(analysis.apply() - g)))
+    adjoint, flat = _certificates(lat, analysis.walnut())  # criteria (3)-(4), (2)
+    fixed_point = float(np.abs(analysis.apply() - g).max())
     return TightnessReport(
         bounds=bounds,
         is_frame=is_frame,
@@ -151,14 +151,13 @@ def classify(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> Tigh
 def density_diagnostics(lat: GaborLattice, g: np.ndarray) -> DensityReport:
     """Frame identities around the canonical dual; raises for non-frames."""
     analysis = _analysis(lat, g)
-    products = analysis.products(analysis._blocks(analysis.dual[1]))
+    products = analysis.products(analysis.dual[0])
     pairing, expected = complex(products[0, 0]), lat.a * lat.b / lat.L
-    off_origin = np.abs(products).ravel()[1:]
     return DensityReport(
         dual_pairing=pairing,
         expected_pairing=expected,
         pairing_residual=abs(pairing - expected),
-        adjoint_residual=float(np.max(off_origin, initial=0.0)),
+        adjoint_residual=float(np.max(np.abs(products).ravel()[1:], initial=0.0)),
         riesz_basis=lat.atom_count == lat.L,
     )
 

@@ -261,6 +261,33 @@ def test_cross_table_matches_shift_sum():
         assert rel_err(cross_correlation_table(lat, h, g), loop) <= 1e-12
 
 
+# P = a/gcd(a, M) = 2 and 3; the pool's (36,4,6) and (60,4,10) have P = 2
+P_ABOVE_ONE = [(48, 8, 12), (36, 6, 9)]
+
+
+def walnut_cases():
+    rng = np.random.default_rng(14)
+    extra = [(GaborLattice(L, a, b), "gauss", random_signal(rng, L)) for L, a, b in P_ABOVE_ONE]
+    return POOL + extra
+
+
+@pytest.mark.parametrize("lat,kind,g", walnut_cases(),
+                         ids=IDS + [f"{L}-{a}-{b}-gauss" for L, a, b in P_ABOVE_ONE])
+def test_walnut_table_is_the_signal_fold(lat, kind, g):
+    # the Zak route, with or without its length-P inverse DFT, against the fold in x
+    analysis = _FrameAnalysis(lat, g)
+    h = random_signal(np.random.default_rng(lat.L + 2), lat.L)
+    for table, fold in ((analysis.walnut(analysis.forward(h)), cross_correlation_table(lat, h, g)),
+                        (analysis.walnut(), cross_correlation_table(lat, g, g))):
+        assert table.shape == (lat.a, lat.b)
+        assert rel_err(table, fold[:, :lat.a].T) <= 1e-12
+
+
+def test_walnut_pool_takes_both_branches():
+    P = {frame._walnut_layout(lat).shape[0] for lat, _, _ in walnut_cases()}
+    assert 1 in P and {2, 3} <= P
+
+
 def test_adjoint_products_match_atom_loop():
     rng = np.random.default_rng(8)
     for L, a, b in LATTICES:

@@ -6,7 +6,16 @@ import pytest
 
 import whframe
 
-from whframe import GaborLattice, canonical_dual, classify, frame_bounds, gabor_atom, inner
+from whframe import (
+    GaborLattice,
+    canonical_dual,
+    classify,
+    frame_bounds,
+    gabor_atom,
+    inner,
+    make_alternate_dual,
+    random_tight_generator,
+)
 from whframe.oracle import (
     analysis_array,
     oracle_adjoint_gram,
@@ -87,6 +96,20 @@ class TestOracleIsDual:
     def test_zero_candidate(self, box):
         lat, g = box
         assert not oracle_is_dual(lat, g, np.zeros(4, dtype=complex))
+
+    @pytest.mark.parametrize("L,a,b", [(48, 4, 3), (48, 1, 1), (48, 4, 6), (120, 6, 10)])
+    @pytest.mark.parametrize("kind", ["gauss", "tight"])
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    def test_duals_with_large_free_parts(self, L, a, b, kind, scale):
+        # the composite's rounding grows with ||g|| * ||h|| (to 6e-14 of it here),
+        # and so does the bound; a change of h[0] by 1e-6 ||h|| still fails it
+        lat = GaborLattice(L, a, b)
+        rng = np.random.default_rng(L + a + b)
+        g = random_signal(rng, L) if kind == "gauss" else random_tight_generator(lat, 5)
+        h = make_alternate_dual(lat, g, scale * random_signal(rng, L - a * b))
+        assert oracle_is_dual(lat, g, h)
+        h[0] += 1e-6 * np.linalg.norm(h)
+        assert not oracle_is_dual(lat, g, h)
 
 
 class TestOracleTightConstant:
@@ -187,7 +210,7 @@ def test_only_the_oracle_takes_svds():
 def test_only_the_profile_takes_the_lag_gather():
     """The (b, L) table of periodized correlations is built only in
     cross_correlation_table, which only correlation_profile calls; every
-    other correlation quantity reads the adjoint products of _FrameAnalysis,
+    other correlation quantity reads the Walnut table of _FrameAnalysis,
     and frame.py imports nothing from correlation."""
     callers = []
     for path in sorted(Path(whframe.__file__).parent.glob("*.py")):

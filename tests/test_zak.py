@@ -137,7 +137,7 @@ def test_kernel_memory_is_linear(fn):
 
 @pytest.mark.parametrize("a", [960, 480])
 def test_over_dense_classify_stays_below_the_lag_gather(a):
-    # one and two atoms: the adjoint products and the p x p cross-Gram blocks
+    # one and two atoms: the Walnut table and the p x p cross-Gram blocks
     # hold a*b entries each (14.1 MiB at a = 960); the (b, L) lag gather
     # they replace peaked at 49.4 MiB here
     lat = GaborLattice(960, a, 960)
@@ -176,6 +176,38 @@ def builds(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def transforms(monkeypatch):
+    """Names of the np.fft.fft and np.fft.ifft calls made, the analysis cache cleared."""
+    frame._cached_analysis.cache_clear()
+    seen = []
+    for name in ("fft", "ifft"):
+        def counting(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            seen.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    return seen
+
+
+@pytest.mark.parametrize("call,shape,count", [
+    # P = 1 on (48, 4, 6): the Walnut table is one length-b FFT of the cross-Gram
+    # blocks, and the Wexler-Raz residual one length-a FFT of the table
+    (lambda lat, g, h: classify(lat, g), (48, 4, 6), 4),
+    (wexler_raz_check, (48, 4, 6), 4),
+    (decompose_dual, (48, 4, 6), 5),
+    (lambda lat, g, h: correlation.walnut_upper_bound(lat, g), (48, 4, 6), 2),
+    (lambda lat, g, h: frame.frame_operator(lat, g), (48, 4, 6), 2),
+    (correlation.frame_energy_split, (48, 4, 6), 4),
+    (lambda lat, g, h: classify(lat, g), (36, 4, 6), 5),  # P = 2: one length-P inverse DFT
+], ids=["classify", "wexler_raz_check", "decompose_dual", "walnut_upper_bound",
+        "frame_operator", "frame_energy_split", "classify-P2"])
+def test_transform_count(transforms, call, shape, count):
+    lat = GaborLattice(*shape)
+    rng = np.random.default_rng(22)
+    call(lat, random_signal(rng, lat.L), random_signal(rng, lat.L))
+    assert len(transforms) == count
+
+
 def test_classify_builds_one_analysis_and_no_table(builds):
     lat = GaborLattice(48, 4, 6)
     classify(lat, random_signal(np.random.default_rng(15), lat.L))
@@ -183,7 +215,7 @@ def test_classify_builds_one_analysis_and_no_table(builds):
 
 
 def test_decompose_dual_builds_one_analysis_and_no_table(builds):
-    # both certificates read the (h, g) adjoint products of the one analysis
+    # both certificates read the (h, g) Walnut table of the one analysis
     lat = GaborLattice(48, 4, 6)
     rng = np.random.default_rng(17)
     g = random_signal(rng, lat.L)
