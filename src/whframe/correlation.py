@@ -32,7 +32,6 @@ __all__ = [
     "periodized_correlation",
     "walnut_upper_bound",
     "frame_energy_split",
-    "wh_identity_terms",
 ]
 
 
@@ -126,14 +125,3 @@ def frame_energy_split(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> tuple
     G_gg = _analysis(lat, g).walnut()
     rows = lat.M * np.sum(G_gg * np.conj(_analysis(lat, f).walnut()), axis=0)
     return float(rows[0].real), complex(np.sum(rows[1:]))
-
-
-def wh_identity_terms(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> tuple[float, float]:
-    """The two terms of the quadratic energy identity, as reals.
-
-    F1 + F2 = sum_{m,n} |<f, atom_{m,n}>|^2; the imaginary part of the
-    second term vanishes up to roundoff and is dropped here (use
-    frame_energy_split to inspect it).
-    """
-    f1, f2 = frame_energy_split(lat, g, f)
-    return f1, f2.real

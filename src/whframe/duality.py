@@ -120,7 +120,7 @@ def wexler_raz_check(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
     (k, l) != (0, 0); at most tol means h is a dual.
     """
     analysis = _analysis(lat, g)
-    return _certificates(lat, analysis.walnut(analysis.forward(h)))[0]
+    return _adjoint_gap(_flat_gap(lat, analysis.walnut(analysis.forward(h))))
 
 
 def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
@@ -130,15 +130,18 @@ def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> f
     Hk[k][x] = sum_n h(x - n*a) conj(g(x - n*a - k*q)).
     """
     analysis = _analysis(lat, g)
-    return _certificates(lat, analysis.walnut(analysis.forward(h)))[1]
+    return float(np.abs(_flat_gap(lat, analysis.walnut(analysis.forward(h)))).max())
 
 
-def _certificates(lat: GaborLattice, table: np.ndarray) -> tuple[float, float]:
-    """Both certificates from the (h, g) Walnut table less b/L in column 0, in place:
-    dual_conditions_walnut is its largest modulus, wexler_raz_check that of its length-a
-    DFTs, which are the adjoint products less a*b/L at (0, 0)."""
+def _flat_gap(lat: GaborLattice, table: np.ndarray) -> np.ndarray:
+    """(h, g) Walnut table less b/L in column 0, in place: dual_conditions_walnut's max modulus."""
     table[:, 0] -= lat.b / lat.L
-    return float(np.abs(np.fft.fft(table, axis=0)).max()), float(np.abs(table).max())
+    return table
+
+
+def _adjoint_gap(gap: np.ndarray) -> float:
+    """The largest modulus of the adjoint products less a*b/L at (0, 0): gap's column DFTs."""
+    return float(np.abs(np.fft.fft(gap, axis=0)).max())
 
 
 def dual_space(lat: GaborLattice, g: np.ndarray) -> DualSpace:
@@ -171,7 +174,8 @@ def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray,
     Z_dual, dual = analysis.dual
     h = as_signal(h, lat.L)
     Zh = analysis._blocks(h)
-    wr, walnut = _certificates(lat, analysis.walnut(Zh))
+    gap = _flat_gap(lat, analysis.walnut(Zh))
+    wr, walnut = _adjoint_gap(gap), float(np.abs(gap).max())
     in_complement = float(np.linalg.norm((Zh - Z_dual) @ analysis.V)) <= tol
     return DualReport(
         is_dual=wr <= tol and walnut <= tol and in_complement,

@@ -12,8 +12,9 @@ block's thin SVD U Sigma V^H, with sigma read as row norms of U^H Z_g
 (to eps*kappa; the eigenvalues hold sigma^2 only to eps*kappa^2) for S^-1 g,
 polished by one Newton-Schulz step, the polar factor S^-1/2 g
 (Janssen-Strohmer 2002) and V, whose p Householder reflectors per block
-give null(Z_g), the dual space. O(L log L) time, O(L) memory. S commutes
-with every lattice operator, so S^-1 g and S^-1/2 g generate Weyl-Heisenberg systems again.
+give null(Z_g), the dual space; scalar Gram blocks (min(p, q_w) = 1) take no eigh and no
+Newton-Schulz step (Strohmer 1998). O(L log L) time, O(L) memory. S commutes with every lattice
+operator, so S^-1 g and S^-1/2 g generate Weyl-Heisenberg systems again.
 Reconstruction, sum <f, h_mn> g_mn, acts on the blocks as
 Z_f -> (L/p) * Z_g Z_h^H Z_f. Every tightness and dual certificate reads the
 period-a Walnut table of (h, g): a fixed gather of the blocks Z_h Z_g^H, a length-b
@@ -25,7 +26,7 @@ A > FRAME_FLOOR * B, decides "frame" everywhere in the package.
 
 Every entry point reads its analysis from a one-entry cache keyed by the
 lattice and the bytes of the window after as_signal, so calls on one window
-share one block FFT, one eigh and one S^-1 g (only 1.2% of dual-design and 3.4%
+share one block FFT, at most one eigh and one S^-1 g (only 1.2% of dual-design and 3.4%
 of verdict-ladder benchmark ops find the previous op's window). Its g is a
 read-only copy of those bytes, its Z and S^-1 g are read-only, public functions
 return fresh arrays, and the entry stays resident, null(Z_g) reflectors included.
@@ -132,7 +133,7 @@ def _walnut_layout(lat: GaborLattice) -> np.ndarray:
 class _FrameAnalysis:
     """The Zak blocks of one (lattice, window) pair, shape (c, d, p, q_w), of a
     checked signal g. Every frame quantity of the window reads them and one
-    batched eigh of the smaller Gram blocks, computed on first use."""
+    batched eigh of the smaller Gram blocks (none when they are 1 x 1), computed on first use."""
 
     def __init__(self, lat: GaborLattice, g: np.ndarray):
         self.lat, self.g = lat, g
@@ -163,8 +164,10 @@ class _FrameAnalysis:
         return self.Z @ _ct(self.Z) if self.wide else _ct(self.Z) @ self.Z
 
     @cached_property
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and eigenvectors U of the Gram blocks."""
+    def eig(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Eigenvalues (ascending) and eigenvectors U of the Gram blocks; 1 x 1: no U, no eigh."""
+        if self.gram.shape[-1] == 1:
+            return self.gram.real[..., 0], None
         return np.linalg.eigh(self.gram)
 
     @cached_property
@@ -176,7 +179,9 @@ class _FrameAnalysis:
 
     @cached_property
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """R = U^H Z_g = Sigma V^H and its row norms sigma (frames only)."""
+        """R = U^H Z_g = Sigma V^H and its row norms sigma (frames only): Z_g, sqrt(w) at p = 1."""
+        if self.eig[1] is None:  # one singular value per block, as accurate as a row norm
+            return self.Z, np.sqrt(self.eig[0])
         R = _ct(self.eig[1]) @ self.Z
         return R, np.linalg.norm(R, axis=-1)
 
@@ -234,15 +239,17 @@ class _FrameAnalysis:
             raise NotAFrameError(f"lower frame bound {self.bounds.A:.3e} vanishes "
                                  f"(upper bound {self.bounds.B:.3e})")
         R, sigma = self.rows
-        return self.eig[1] @ ((self.scale * sigma**2)[..., None] ** power * R)
+        Zs = (self.scale * sigma**2)[..., None] ** power * R
+        return Zs if self.eig[1] is None else self.eig[1] @ Zs
 
     @cached_property
     def dual(self) -> tuple[np.ndarray, np.ndarray]:
         """S^-1 g as read-only Zak blocks and signal. One Newton-Schulz step
         Z_h <- 2 Z_h - E^H Z_h squares the error I - E of the dual certificate
-        E = (L/p) Z_g Z_h^H = I on blocks ill-conditioned by themselves."""
+        E = (L/p) Z_g Z_h^H = I on blocks ill-conditioned by themselves; p = 1 skips it."""
         Zh = self.power(-1.0)
-        Zh = 2 * Zh - self.scale * (Zh @ _ct(self.Z)) @ Zh
+        if self.eig[1] is not None:
+            Zh = 2 * Zh - self.scale * (Zh @ _ct(self.Z)) @ Zh
         h = self.inverse(Zh)
         Zh.flags.writeable = h.flags.writeable = False
         return Zh, h

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .duality import _certificates, dual_conditions_walnut, wexler_raz_check
+from .duality import _adjoint_gap, _flat_gap, dual_conditions_walnut, wexler_raz_check
 from .frame import DEFAULT_TOL, FrameBounds, _analysis
 from .lattice import GaborLattice, _pairs, dft, norm_sq
 
@@ -132,7 +132,8 @@ def classify(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> Tigh
     tight_constant = (bounds.A + bounds.B) / 2 if tight else None
     normalized_tight = is_frame and abs(bounds.A - 1.0) <= tol and abs(bounds.B - 1.0) <= tol
     onb = normalized_tight and abs(norm_sq(g) ** 0.5 - 1.0) <= tol
-    adjoint, flat = _certificates(lat, analysis.walnut())  # criteria (3)-(4), (2)
+    gap = _flat_gap(lat, analysis.walnut())  # criteria (3)-(4), (2)
+    adjoint, flat = _adjoint_gap(gap), float(np.abs(gap).max())
     fixed_point = float(np.abs(analysis.apply() - g).max())
     return TightnessReport(
         bounds=bounds,

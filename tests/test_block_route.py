@@ -4,8 +4,9 @@ Bounds, spectra, duals, tight windows, reconstructions and the adjoint
 residuals are compared with dense linear algebra on the analysis array
 over a pool that covers critical, 2x and 4x oversampled, a = b = 1,
 over-dense and density-2/3 lattices, with Gaussian, tight, coset-zero and near-singular
-windows and windows whose Zak blocks lead with zero or negative entries. Also: the one frame gate at its boundary, scale-aware tightness,
-dual decomposition at A/B = 1e-9, and the memory bounds of classify,
+windows and windows whose Zak blocks lead with zero or negative entries. Also: the closed
+form of scalar Gram blocks against LAPACK, the one frame gate at its boundary, scale-aware
+tightness, dual decomposition at A/B = 1e-9, and the memory bounds of classify,
 dual_space, make_alternate_dual and decompose_dual.
 """
 
@@ -35,10 +36,11 @@ from whframe import (
     random_tight_generator,
     reconstruct,
     tighten,
+    wexler_raz_check,
 )
 from whframe import frame
 from whframe.cli import main
-from whframe.frame import FRAME_FLOOR, FrameBounds, _FrameAnalysis
+from whframe.frame import FRAME_FLOOR, FrameBounds, _FrameAnalysis, _ct
 from whframe.oracle import (
     analysis_array,
     oracle_adjoint_gram,
@@ -247,6 +249,63 @@ class TestAgainstOracle:
         assert (report.tight_constant is None) == (c is None)
         if c is not None:
             assert report.tight_constant == pytest.approx(c, rel=REL)
+
+
+# min(p, q_w) = 1: critical (1 x 1), integer-oversampled (1 x q_w) and over-dense (p x 1)
+SCALAR = [(lat, kind, g) for lat, kind, g in POOL if min(_FrameAnalysis(lat, g).Z.shape[-2:]) == 1]
+
+
+def test_scalar_pool_covers_every_shape():
+    shapes = {tuple(_FrameAnalysis(lat, g).Z.shape[-2:]) for lat, _, g in SCALAR}
+    assert (1, 1) in shapes
+    assert any(p == 1 < q_w for p, q_w in shapes) and any(q_w == 1 < p for p, q_w in shapes)
+
+
+@pytest.mark.parametrize("lat,kind,g", SCALAR,
+                         ids=[f"{lat.L}-{lat.a}-{lat.b}-{kind}" for lat, kind, _ in SCALAR])
+def test_scalar_blocks_match_lapack(lat, kind, g):
+    # the closed form against the general route on the same blocks: eigh of the Gram
+    # blocks, R = U^H Z_g, sigma as its row norms and one Newton-Schulz step
+    analysis = _FrameAnalysis(lat, g)
+    Z, scale = analysis.Z, analysis.scale
+    w, U = np.linalg.eigh(analysis.gram)
+    B = max(float(scale * w[..., -1].max()), 0.0)
+    A = max(float(scale * w[..., 0].min()), 0.0) if analysis.wide else 0.0
+    assert abs(analysis.bounds.A - A) <= 1e-12 * B
+    assert abs(analysis.bounds.B - B) <= 1e-12 * B
+    if not analysis.bounds.is_frame:
+        assert kind == "coset0" or lat.a * lat.b > lat.L
+        return
+    R = _ct(U) @ Z
+    sigma = np.linalg.norm(R, axis=-1)
+    assert rel_err(analysis.rows[1], sigma) <= 1e-12
+    for s in (-1.0, -0.5):
+        assert rel_err(analysis.power(s), U @ ((scale * sigma**2)[..., None] ** s * R)) <= 1e-12
+    Zh = U @ (R / (scale * sigma**2)[..., None])
+    Zh = 2 * Zh - scale * (Zh @ _ct(Z)) @ Zh
+    assert rel_err(analysis.dual[0], Zh) <= 1e-12
+    assert np.array_equal(analysis.dual[0], analysis.power(-1.0))  # no Newton-Schulz step
+    assert rel_err(analysis.dual[1], analysis.inverse(Zh)) <= 1e-12
+    V = _ct(R) / sigma[..., None, :]
+    assert rel_err(analysis.V, V) <= 1e-12
+    # the reflectors map I to a unitary H_p ... H_1 whose last q_w - p rows span null(Z_g)
+    u, weights = analysis.null
+    p, q_w = Z.shape[-2:]
+    eye = np.eye(q_w, dtype=complex)
+    Y = np.broadcast_to(eye, (*Z.shape[:-2], q_w, q_w)).copy()
+    for j in reversed(range(p)):
+        Y -= (Y @ u[..., j, :, None]) * (weights[..., j, None, None] * np.conj(u[..., j, None, :]))
+    assert np.max(np.abs(Y @ _ct(Y) - eye)) <= 1e-12
+    assert np.max(np.abs(_ct(Y[..., p:, :]) @ Y[..., p:, :] - (eye - V @ _ct(V)))) <= 1e-12
+
+
+def test_near_singular_critical_dual_without_newton_schulz():
+    # a 1 x 1 block cannot be ill-conditioned by itself: S^-1 g divides Z_g pointwise
+    lat = GaborLattice(48, 6, 8)
+    g = near_singular(lat, np.random.default_rng(11), 3e-10)
+    bounds = frame_bounds(lat, g)
+    assert bounds.A / bounds.B == pytest.approx(3e-10, rel=1e-3)
+    assert wexler_raz_check(lat, g, canonical_dual(lat, g)) <= 1e-12
 
 
 def test_cross_table_matches_shift_sum():

@@ -42,7 +42,6 @@ ENTRY_POINTS = {
     "periodized_correlation": (lambda h, g: wf.periodized_correlation(h, g, LAT.q, LAT.a), [L, L]),
     "walnut_upper_bound": (lambda g: wf.walnut_upper_bound(LAT, g), [L]),
     "frame_energy_split": (lambda g, f: wf.frame_energy_split(LAT, g, f), [L, L]),
-    "wh_identity_terms": (lambda g, f: wf.wh_identity_terms(LAT, g, f), [L, L]),
     "shift_orthogonality_residual": (lambda z: wf.shift_orthogonality_residual(z, 1.0), [None]),
     "flat_spectrum_residual": (lambda z: wf.flat_spectrum_residual(z, 1.0), [None]),
     "phases_from_tight_generator": (lambda g: wf.phases_from_tight_generator(CRIT, g), [L]),

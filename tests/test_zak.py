@@ -177,35 +177,49 @@ def builds(monkeypatch):
 
 
 @pytest.fixture
-def transforms(monkeypatch):
-    """Names of the np.fft.fft and np.fft.ifft calls made, the analysis cache cleared."""
+def calls(monkeypatch):
+    """Names of the np.fft.fft, np.fft.ifft and np.linalg.eigh calls made, the
+    analysis cache cleared."""
     frame._cached_analysis.cache_clear()
     seen = []
-    for name in ("fft", "ifft"):
-        def counting(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+    for module, name in ((np.fft, "fft"), (np.fft, "ifft"), (np.linalg, "eigh")):
+        def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
             seen.append(_name)
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return seen
 
 
 @pytest.mark.parametrize("call,shape,count", [
     # P = 1 on (48, 4, 6): the Walnut table is one length-b FFT of the cross-Gram
-    # blocks, and the Wexler-Raz residual one length-a FFT of the table
+    # blocks, and the Wexler-Raz residual one length-a FFT of the table, which
+    # the walnut residual does without
     (lambda lat, g, h: classify(lat, g), (48, 4, 6), 4),
     (wexler_raz_check, (48, 4, 6), 4),
+    (dual_conditions_walnut, (48, 4, 6), 3),
     (decompose_dual, (48, 4, 6), 5),
     (lambda lat, g, h: correlation.walnut_upper_bound(lat, g), (48, 4, 6), 2),
     (lambda lat, g, h: frame.frame_operator(lat, g), (48, 4, 6), 2),
     (correlation.frame_energy_split, (48, 4, 6), 4),
     (lambda lat, g, h: classify(lat, g), (36, 4, 6), 5),  # P = 2: one length-P inverse DFT
-], ids=["classify", "wexler_raz_check", "decompose_dual", "walnut_upper_bound",
-        "frame_operator", "frame_energy_split", "classify-P2"])
-def test_transform_count(transforms, call, shape, count):
+], ids=["classify", "wexler_raz_check", "dual_conditions_walnut", "decompose_dual",
+        "walnut_upper_bound", "frame_operator", "frame_energy_split", "classify-P2"])
+def test_transform_count(calls, call, shape, count):
     lat = GaborLattice(*shape)
     rng = np.random.default_rng(22)
     call(lat, random_signal(rng, lat.L), random_signal(rng, lat.L))
-    assert len(transforms) == count
+    assert len(calls) - calls.count("eigh") == count
+
+
+@pytest.mark.parametrize("shape,count", [
+    ((48, 4, 6), 0), ((48, 8, 12), 0), ((12, 3, 4), 0),  # 1 x 2, 2 x 1 and 1 x 1 Zak blocks
+    ((36, 4, 6), 1),                                      # 2 x 3: one batched eigh
+], ids=["48-4-6", "48-8-12", "12-3-4", "36-4-6"])
+def test_classify_eigh_count(calls, shape, count):
+    # scalar Gram blocks, min(p, q_w) = 1, are their own eigenvalues
+    lat = GaborLattice(*shape)
+    classify(lat, random_signal(np.random.default_rng(23), lat.L))
+    assert calls.count("eigh") == count
 
 
 def test_classify_builds_one_analysis_and_no_table(builds):
@@ -272,15 +286,11 @@ def test_profile_takes_the_one_table(builds, tmp_path, capsys):
 # The one-entry analysis cache: keyed by the lattice and the window's bytes,
 # read-only inside, fresh arrays out.
 
-def test_design_job_builds_one_analysis_and_one_dual(builds, monkeypatch):
-    # canonical dual, dual space, alternate dual, decomposition and reconstruction
-    # of one window: one block FFT of g, the Gram eigh, one S^-1 g; null(Z_g) comes
-    # from Householder reflectors, with no eigh
-    powers, eighs = [], []
-    power, eigh = _FrameAnalysis.power, np.linalg.eigh
+def design_job(lat, monkeypatch):
+    """Canonical dual, dual space, alternate dual, decomposition and reconstruction
+    of one window; returns the powers of S taken."""
+    powers, power = [], _FrameAnalysis.power
     monkeypatch.setattr(_FrameAnalysis, "power", lambda self, s: powers.append(s) or power(self, s))
-    monkeypatch.setattr(np.linalg, "eigh", lambda A: eighs.append(A.shape) or eigh(A))
-    lat = GaborLattice(48, 4, 6)
     rng = np.random.default_rng(21)
     g, f = random_signal(rng, lat.L), random_signal(rng, lat.L)
     h0 = canonical_dual(lat, g)
@@ -288,9 +298,23 @@ def test_design_job_builds_one_analysis_and_one_dual(builds, monkeypatch):
     h = make_alternate_dual(lat, g, random_signal(rng, lat.L - lat.a * lat.b))
     assert decompose_dual(lat, g, h).is_dual
     assert np.max(np.abs(reconstruct(lat, g, h, f) - f)) <= 1e-12 * np.max(np.abs(f))
+    return powers
+
+
+def test_design_job_builds_one_analysis_and_one_dual(builds, calls, monkeypatch):
+    # one block FFT of g and one S^-1 g; p = 1, so the 1 x 1 Gram blocks take no
+    # eigh, and null(Z_g) comes from Householder reflectors, with no eigh either
+    lat = GaborLattice(48, 4, 6)
+    assert design_job(lat, monkeypatch) == [-1.0]
     assert builds == {"lattices": [lat], "tables": 0}
-    assert powers == [-1.0]
-    assert len(eighs) == 1
+    assert calls.count("eigh") == 0
+
+
+def test_design_job_takes_one_eigh_at_p_2(builds, calls, monkeypatch):
+    lat = GaborLattice(36, 4, 6)
+    assert design_job(lat, monkeypatch) == [-1.0]
+    assert builds == {"lattices": [lat], "tables": 0}
+    assert calls.count("eigh") == 1
 
 
 def test_mutated_input_gives_the_fresh_result():
