@@ -66,18 +66,23 @@ class ParsedInput:
     phases: np.ndarray | None
 
 
-def _parse_vector(raw, name: str, L: int) -> np.ndarray:
+def _number_rows(raw, name: str, width: int | None = None) -> np.ndarray:
+    """Rows of JSON numbers (int or float, not bool), width or row 0 long, as floats."""
+    row = "[re, im] number pair" if width == 2 else "list of numbers as long as row 0"
     if not isinstance(raw, list):
-        raise ValueError(f"field {name!r} must be a list of [re, im] pairs")
-    values = []
-    for i, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
-            raise ValueError(f"field {name!r}[{i}] must be a [re, im] number pair")
-        values.append(complex(pair[0], pair[1]))
+        raise ValueError(f"field {name!r} must be a list, each entry a {row}")
+    for i, values in enumerate(raw):
+        if not (isinstance(values, list) and len(values) == (width or len(raw[0]))
+                and all(type(v) in (int, float) for v in values)):  # bool is no number
+            raise ValueError(f"field {name!r}[{i}] must be a {row}")
+    try:
+        return np.array(raw, dtype=float)
+    except OverflowError:
+        raise ValueError(f"field {name!r} holds an integer too large for a float") from None
+
+
+def _parse_vector(raw, name: str, L: int) -> np.ndarray:
+    values = _number_rows(raw, name, 2).view(np.complex128).reshape(-1)
     try:
         return as_signal(values, L)
     except ValueError as e:
@@ -96,15 +101,9 @@ def parse_signal_file(path: str) -> ParsedInput:
         if not isinstance(data[name], int) or isinstance(data[name], bool):
             raise ValueError(f"field {name!r} must be an integer")
     lat = GaborLattice(data["L"], data["a"], data["b"])
-    signals = {}
-    for name in ("g", "h", "f"):
-        signals[name] = _parse_vector(data[name], name, lat.L) if name in data else None
-    phases = None
-    if "phases" in data:
-        try:
-            phases = np.asarray(data["phases"], dtype=float)
-        except (TypeError, ValueError):
-            raise ValueError("field 'phases' must be a rectangular array of reals") from None
+    signals = {name: _parse_vector(data[name], name, lat.L) if name in data else None
+               for name in ("g", "h", "f")}
+    phases = _number_rows(data["phases"], "phases") if "phases" in data else None
     return ParsedInput(lat=lat, phases=phases, **signals)
 
 
@@ -241,11 +240,7 @@ def _cmd_profile(data: ParsedInput, config: JobConfig):
     profile = correlation_profile(data.lat, g)
     if (config.format or "csv") == "csv":
         return 0, profile.to_csv()
-    rows = [
-        [k, x, profile.table[k, x].real, profile.table[k, x].imag, abs(profile.table[k, x])]
-        for k in range(data.lat.b)
-        for x in range(data.lat.L)
-    ]
+    rows = [[k, x, v.real, v.imag, abs(v)] for (k, x), v in np.ndenumerate(profile.table)]
     return 0, {"columns": ["k", "x", "re", "im", "abs"], "rows": rows}
 
 

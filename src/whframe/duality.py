@@ -18,10 +18,11 @@ orthogonal complement of the span of the a*b adjoint atoms of g. On the
 Zak blocks of g (Zibulski-Zeevi 1997) that span is the set of windows
 whose block rows lie in the row space of every block Z_g = U Sigma V^H,
 so W is C^p (x) null(Z_g) block by block. The frame analysis that gives
-S^-1 g holds V and null(Z_g) as p Householder reflectors H_j per block:
-make_alternate_dual maps coefficients C onto the blocks as [0_p | C] H_p ... H_1,
-decompose_dual tests membership in W as ||Z_free V||_F, and neither builds a basis. At
-critical density W = {0}, and the canonical dual is the only dual.
+S^-1 g holds V and null(Z_g) as p Householder reflectors H_j per block, and
+its free maps coefficients C onto the blocks as [0_p | C] H_p ... H_1 for
+make_alternate_dual and DualSpace; decompose_dual tests membership in W as
+||Z_free V||_F, and neither builds a basis. At critical density W = {0}, and
+the canonical dual is the only dual.
 """
 
 from __future__ import annotations
@@ -66,26 +67,16 @@ class DualSpace:
     def dimension(self) -> int:
         return self.lat.L - self.orbit_rank
 
-    def _free(self, coeffs: np.ndarray) -> np.ndarray:
-        """Signals with blocks C @ null^H = [0_p | C] H_p ... H_1, C = coeffs (..., dimension)."""
-        u, w = self.analysis.null
-        p, q_w = u.shape[-2:]
-        Y = np.zeros((*coeffs.shape[:-1], *u.shape), dtype=np.complex128)
-        Y[..., p:] = coeffs.reshape(*Y.shape[:-1], q_w - p)
-        for j in reversed(range(p)):
-            Y -= (Y @ u[..., j, :, None]) * (w[..., j, None, None] * np.conj(u[..., j, None, :]))
-        return self.analysis.inverse(Y)
-
     @property
     def complement_basis(self) -> np.ndarray:
         """The orthonormal basis of W as a dense (dimension, L) matrix, built on each read."""
-        return self._free(np.eye(self.dimension, dtype=np.complex128))
+        return self.analysis.free(np.eye(self.dimension, dtype=np.complex128))
 
     def to_dict(self) -> dict:
         """Each basis row as its class s mod c and its L/c [re, im] values at x = s + t*c.
         Signal r of the c-fold tiled identity is basis row r of every class at once."""
         c = self.analysis.c
-        signals = self._free(np.tile(np.eye(self.dimension // c, dtype=np.complex128), c))
+        signals = self.analysis.free(np.tile(np.eye(self.dimension // c, dtype=np.complex128), c))
         values = signals.reshape(-1, self.lat.L // c, c).transpose(2, 0, 1)
         return {
             "orbit_rank": self.orbit_rank,
@@ -155,9 +146,8 @@ def dual_space(lat: GaborLattice, g: np.ndarray) -> DualSpace:
 
 def make_alternate_dual(lat: GaborLattice, g: np.ndarray, coeffs) -> np.ndarray:
     """The dual window S^-1 g + sum_i coeffs[i] * complement_basis[i]."""
-    analysis = _analysis(lat, g)
-    space = DualSpace(lat, analysis.dual[1], analysis)  # not returned: shares S^-1 g
-    return space.canonical_dual + space._free(as_signal(coeffs, space.dimension))
+    space = dual_space(lat, g)
+    return space.canonical_dual + space.analysis.free(as_signal(coeffs, space.dimension))
 
 
 def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray,

@@ -12,10 +12,10 @@ block's thin SVD U Sigma V^H, with sigma read as row norms of U^H Z_g
 (to eps*kappa; the eigenvalues hold sigma^2 only to eps*kappa^2) for S^-1 g,
 polished by one Newton-Schulz step, the polar factor S^-1/2 g
 (Janssen-Strohmer 2002) and V, whose p Householder reflectors per block
-give null(Z_g), the dual space; scalar Gram blocks (min(p, q_w) = 1) take no eigh and no
-Newton-Schulz step (Strohmer 1998). O(L log L) time, O(L) memory. S commutes with every lattice
-operator, so S^-1 g and S^-1/2 g generate Weyl-Heisenberg systems again.
-Reconstruction, sum <f, h_mn> g_mn, acts on the blocks as
+give null(Z_g) and free, the dual-space map; scalar Gram blocks (min(p, q_w) = 1)
+take no eigh and no Newton-Schulz step (Strohmer 1998). O(L log L) time, O(L) memory.
+S commutes with every lattice operator, so S^-1 g and S^-1/2 g generate Weyl-Heisenberg
+systems again. Reconstruction, sum <f, h_mn> g_mn, acts on the blocks as
 Z_f -> (L/p) * Z_g Z_h^H Z_f. Every tightness and dual certificate reads the
 period-a Walnut table of (h, g): a fixed gather of the blocks Z_h Z_g^H, a length-b
 DFT and, when a/c > 1, a length-a/c inverse DFT. Its columns' length-a DFTs are the
@@ -232,6 +232,17 @@ class _FrameAnalysis:
             if j + 1 < p:  # H_j X, for the columns still to reflect
                 X = X - w[..., j, None, None] * u[..., j, :, None] * (_ct(u[..., j, :, None]) @ X)
         return u, w
+
+    def free(self, coeffs: np.ndarray) -> np.ndarray:
+        """The signals with blocks C @ null^H = [0_p | C] H_p ... H_1, coeffs (..., n) read as
+        C (..., c, d, p, q_w - p): the map of coefficients onto W (frames only)."""
+        u, w = self.null
+        p, q_w = u.shape[-2:]
+        Y = np.zeros((*coeffs.shape[:-1], *u.shape), dtype=np.complex128)
+        Y[..., p:] = coeffs.reshape(*Y.shape[:-1], q_w - p)
+        for j in reversed(range(p)):
+            Y -= (Y @ u[..., j, :, None]) * (w[..., j, None, None] * np.conj(u[..., j, None, :]))
+        return self.inverse(Y)
 
     def power(self, power: float) -> np.ndarray:
         """Zak blocks of S^power g, U ((L/p) sigma^2)^power R; NotAFrameError if no frame."""

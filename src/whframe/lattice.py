@@ -71,13 +71,8 @@ class GaborLattice:
     def M(self) -> int:
         return self.L // self.b
 
-    @property
-    def q(self) -> int:
-        return self.L // self.b
-
-    @property
-    def p(self) -> int:
-        return self.L // self.a
+    q = M  # the adjoint translation step L/b
+    p = N  # the adjoint modulation step L/a
 
     @property
     def density(self) -> Fraction:
@@ -135,14 +130,13 @@ def gabor_atom(lat: GaborLattice, g: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def adjoint_atom(lat: GaborLattice, g: np.ndarray, k: int, l: int) -> np.ndarray:
-    """The (k, l) atom of the adjoint lattice.
+    """The (k, l) atom E_{kp} T_{lq} g of the adjoint lattice (L, q, p).
 
-    Translations step by q = L/b samples and modulations by p = L/a bins:
     output(x) = exp(2*pi*i*k*p*x/L) * g(x - l*q). Indices reduce mod a and
     mod b respectively.
     """
-    shifted = np.roll(as_signal(g, lat.L), l % lat.b * lat.q)
-    return np.exp(2j * np.pi * (k % lat.a) * lat.p * np.arange(lat.L) / lat.L) * shifted
+    adj = GaborLattice(lat.L, lat.q, lat.p)
+    return modulate(translate(as_signal(g, lat.L), l % adj.N * adj.a), k % adj.M, adj)
 
 
 def dft(s: np.ndarray) -> np.ndarray:

@@ -141,7 +141,7 @@ def classify(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> Tigh
         tight_constant=tight_constant,
         normalized_tight=normalized_tight,
         onb=onb,
-        riesz_basis=is_frame and lat.atom_count == lat.L,
+        riesz_basis=is_frame and lat.is_critical,
         cond2_residual=flat,
         cond3_residual=adjoint,
         cond4_residual=adjoint,
@@ -159,7 +159,7 @@ def density_diagnostics(lat: GaborLattice, g: np.ndarray) -> DensityReport:
         expected_pairing=expected,
         pairing_residual=abs(pairing - expected),
         adjoint_residual=float(np.max(np.abs(products).ravel()[1:], initial=0.0)),
-        riesz_basis=lat.atom_count == lat.L,
+        riesz_basis=lat.is_critical,
     )
 
 

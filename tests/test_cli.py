@@ -94,6 +94,13 @@ class TestParseSignalFile:
         with pytest.raises(ValueError, match="'g'"):
             parse_signal_file(path)
 
+    def test_pairs_keep_every_bit(self, tmp_path):
+        # the (L, 2) floats viewed as complex: the bits of complex(re, im), -0.0 included
+        pairs = [[1, -0.0], [-0.0, 0], [2**53 + 1, 0.1], [1e308, -5e-324]]
+        path = write_input(tmp_path, "g.json", {"L": 4, "a": 2, "b": 2, "g": pairs})
+        expected = np.array([complex(re, im) for re, im in pairs])
+        assert parse_signal_file(path).g.tobytes() == expected.tobytes()
+
 
 class TestExitCodes:
     def test_check_tight_fixture_contract(self, box_path, delta_path, impulse_path, capsys):
@@ -121,6 +128,26 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["bounds", "--input", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "JSONDecodeError"
+
+    @pytest.mark.parametrize("command,payload,field", [
+        ("bounds", {"L": 2, "a": 1, "b": 1, "g": [[10**400, 0], [0, 0]]}, "'g'"),
+        ("make-tight", {"L": 4, "a": 2, "b": 2, "phases": [[10**400, 0], [0, 0]]}, "'phases'"),
+        ("make-tight", {"L": 4, "a": 2, "b": 2, "phases": [["0.25", True], [False, "1e-1"]]},
+         "'phases'[0]"),
+        ("make-tight", {"L": 4, "a": 2, "b": 2, "phases": [[0.25, 0.5], [False, 0.1]]},
+         "'phases'[1]"),
+        ("make-tight", {"L": 4, "a": 2, "b": 2, "phases": [[0.25, 0.5], [0.1]]}, "'phases'[1]"),
+        ("bounds", [4, 2, 2], "JSON object"),
+        ("bounds", {"L": 4.0, "a": 2, "b": 2, "g": [[1, 0]] * 4}, "'L'"),
+        ("bounds", {"L": 4, "a": 2, "b": 2, "g": 1}, "'g'"),
+    ], ids=["huge-int-g", "huge-int-phases", "string-phases", "bool-phases", "ragged-phases",
+            "top-level-array", "float-L", "non-list-g"])
+    def test_malformed_fields_exit_2(self, tmp_path, capsys, command, payload, field):
+        # one number check for every array field: JSON numbers only, each one a float
+        assert main([command, "--input", write_input(tmp_path, "bad.json", payload)]) == 2
+        out, err = capsys.readouterr()
+        error = json.loads(err)["error"]
+        assert out == "" and error["type"] == "ValueError" and field in error["message"]
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["bounds", "--input", str(tmp_path / "absent.json")]) == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whframe import (
     GaborLattice,
@@ -14,7 +16,7 @@ from whframe import (
     norm_sq,
     translate,
 )
-from helpers import random_signal
+from helpers import lattices, random_signal
 
 
 class TestGaborLattice:
@@ -153,6 +155,16 @@ class TestAdjointAtom:
         g = random_signal(rng, 8)
         assert np.allclose(adjoint_atom(lat, g, lat.a, lat.b), adjoint_atom(lat, g, 0, 0))
         assert np.allclose(adjoint_atom(lat, g, -1, -1), adjoint_atom(lat, g, lat.a - 1, lat.b - 1))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(lat=lattices(), k=st.integers(-100, 100), l=st.integers(-100, 100),
+           seed=st.integers(0, 2**32 - 1))
+    def test_is_the_atom_of_the_adjoint_lattice(self, lat, k, l, seed):
+        # E_{kp} T_{lq} g is the (k, l) Gabor atom of (L, q, p), bit for bit
+        g = random_signal(np.random.default_rng(seed), lat.L)
+        adjoint = GaborLattice(lat.L, lat.q, lat.p)
+        assert (lat.q, lat.p) == (lat.M, lat.N) == (adjoint.a, adjoint.b)
+        assert adjoint_atom(lat, g, k, l).tobytes() == gabor_atom(adjoint, g, k, l).tobytes()
 
 
 class TestDft:

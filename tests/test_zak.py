@@ -211,6 +211,23 @@ def test_transform_count(calls, call, shape, count):
     assert len(calls) - calls.count("eigh") == count
 
 
+@pytest.mark.parametrize("call,shape,ffts,eighs", [
+    # the block FFT of g, the inverse block FFT of the free part and, for S^-1 g, one
+    # more; the 1 x 2 Zak blocks of (48, 4, 6) take no eigh, the 2 x 3 of (36, 4, 6) one
+    (lambda lat, g, h: make_alternate_dual(lat, g, h[:lat.L - lat.a * lat.b]), (48, 4, 6), 3, 0),
+    (lambda lat, g, h: make_alternate_dual(lat, g, h[:lat.L - lat.a * lat.b]), (36, 4, 6), 3, 1),
+    (lambda lat, g, h: dual_space(lat, g).to_dict(), (48, 4, 6), 3, 0),
+    (lambda lat, g, h: dual_space(lat, g).to_dict(), (36, 4, 6), 3, 1),
+], ids=["make_alternate_dual", "make_alternate_dual-P2", "dual_space_to_dict",
+        "dual_space_to_dict-P2"])
+def test_dual_space_transform_count(calls, call, shape, ffts, eighs):
+    # the dual-space map adds no transform and no LAPACK call to the frame analysis
+    lat = GaborLattice(*shape)
+    rng = np.random.default_rng(22)
+    call(lat, random_signal(rng, lat.L), random_signal(rng, lat.L))
+    assert (len(calls) - calls.count("eigh"), calls.count("eigh")) == (ffts, eighs)
+
+
 @pytest.mark.parametrize("shape,count", [
     ((48, 4, 6), 0), ((48, 8, 12), 0), ((12, 3, 4), 0),  # 1 x 2, 2 x 1 and 1 x 1 Zak blocks
     ((36, 4, 6), 1),                                      # 2 x 3: one batched eigh
@@ -388,3 +405,14 @@ def test_only_the_cache_builds_analyses():
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_FrameAnalysis":
                     builders.append((path.name, getattr(top, "name", None)))
     assert builders == [("frame.py", "_cached_analysis")]
+
+
+def test_only_the_frame_analysis_reads_its_reflectors():
+    """null(Z_g)'s Householder format is known to frame.py alone: others call free."""
+    readers = []
+    for path in sorted(Path(frame.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "null":
+                    readers.append((path.name, getattr(top, "name", None)))
+    assert readers == [("frame.py", "_FrameAnalysis")]
