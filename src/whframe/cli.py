@@ -92,7 +92,10 @@ def _parse_vector(raw, name: str, L: int) -> np.ndarray:
 def parse_signal_file(path: str) -> ParsedInput:
     """Load and validate an input file against the schema above."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError("input nests too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("input must be a JSON object")
     for name in ("L", "a", "b"):

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .frame import DEFAULT_TOL, _FrameAnalysis, _analysis
+from .frame import DEFAULT_TOL, _FrameAnalysis, _analysis, _forward
 from .lattice import GaborLattice, _pairs, as_signal
 
 __all__ = [
@@ -75,7 +75,7 @@ class DualSpace:
     def to_dict(self) -> dict:
         """Each basis row as its class s mod c and its L/c [re, im] values at x = s + t*c.
         Signal r of the c-fold tiled identity is basis row r of every class at once."""
-        c = self.analysis.c
+        c = self.analysis.Z.shape[0]
         signals = self.analysis.free(np.tile(np.eye(self.dimension // c, dtype=np.complex128), c))
         values = signals.reshape(-1, self.lat.L // c, c).transpose(2, 0, 1)
         return {
@@ -111,7 +111,7 @@ def wexler_raz_check(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
     (k, l) != (0, 0); at most tol means h is a dual.
     """
     analysis = _analysis(lat, g)
-    return _adjoint_gap(_flat_gap(lat, analysis.walnut(analysis.forward(h))))
+    return _adjoint_gap(_flat_gap(lat, analysis.walnut(_forward(lat, as_signal(h, lat.L)))))
 
 
 def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
@@ -121,7 +121,7 @@ def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> f
     Hk[k][x] = sum_n h(x - n*a) conj(g(x - n*a - k*q)).
     """
     analysis = _analysis(lat, g)
-    return float(np.abs(_flat_gap(lat, analysis.walnut(analysis.forward(h)))).max())
+    return float(np.abs(_flat_gap(lat, analysis.walnut(_forward(lat, as_signal(h, lat.L))))).max())
 
 
 def _flat_gap(lat: GaborLattice, table: np.ndarray) -> np.ndarray:
@@ -163,7 +163,7 @@ def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray,
     analysis = _analysis(lat, g)
     Z_dual, dual = analysis.dual
     h = as_signal(h, lat.L)
-    Zh = analysis._blocks(h)
+    Zh = _forward(lat, h)
     gap = _flat_gap(lat, analysis.walnut(Zh))
     wr, walnut = _adjoint_gap(gap), float(np.abs(gap).max())
     in_complement = float(np.linalg.norm((Zh - Z_dual) @ analysis.V)) <= tol

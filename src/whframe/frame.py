@@ -4,9 +4,9 @@ The frame operator S = sum over all M*N atoms of atom * atom^H is L x L,
 Hermitian and positive semidefinite. The Zak transform splits it into
 small blocks (Zibulski-Zeevi 1997, in Strohmer's finite form): with the
 density a*b/L = p/q_w in lowest terms, c = gcd(a, M) and d = gcd(b, N),
-the unitary length-L/c DFTs of the c residue classes f(e + c*t),
-gathered by one fixed permutation, are c*d blocks Z_f of shape p x q_w,
-and S acts on every block as Z_f -> (L/p) * Z_g Z_g^H Z_f. One batched
+_forward(lat, f) gathers the unitary length-L/c DFTs of the c residue classes f(e + c*t)
+by one permutation W into c*d blocks Z_f of shape p x q_w, undone by _inverse(lat, Z), and
+S acts on every block as Z_f -> (L/p) * Z_g Z_g^H Z_f. One batched
 eigh of the smaller Gram blocks gives the bounds and, for frames, each
 block's thin SVD U Sigma V^H, with sigma read as row norms of U^H Z_g
 (to eps*kappa; the eigenvalues hold sigma^2 only to eps*kappa^2) for S^-1 g,
@@ -117,6 +117,21 @@ def _zak_layout(lat: GaborLattice) -> tuple[int, np.ndarray]:
     return c, W
 
 
+def _forward(lat: GaborLattice, f: np.ndarray) -> np.ndarray:
+    """Zak blocks (c, d, p, q_w) of a checked signal: its residue classes' DFTs, gathered by W."""
+    c, W = _zak_layout(lat)
+    return np.fft.fft(f.reshape(-1, c).T, axis=1, norm="ortho")[:, W]
+
+
+def _inverse(lat: GaborLattice, Z: np.ndarray) -> np.ndarray:
+    """The signals whose Zak blocks are Z, shape (..., c, d, p, q_w)."""
+    c, W = _zak_layout(lat)
+    batch = Z.shape[:-4]
+    spectra = np.empty((*batch, c, lat.L // c), dtype=np.complex128)
+    spectra[..., W] = Z
+    return np.fft.ifft(spectra, norm="ortho").swapaxes(-1, -2).reshape(*batch, lat.L)
+
+
 @lru_cache(maxsize=64)
 def _walnut_layout(lat: GaborLattice) -> np.ndarray:
     """Flat indices into each cross-Gram block X[e], shape (P, b), P = b/d = a/c: Hk[l][e + c*m]
@@ -136,27 +151,10 @@ class _FrameAnalysis:
     batched eigh of the smaller Gram blocks (none when they are 1 x 1), computed on first use."""
 
     def __init__(self, lat: GaborLattice, g: np.ndarray):
-        self.lat, self.g = lat, g
-        self.c, self.W = _zak_layout(lat)
-        self.Z = self._blocks(g)
+        self.lat, self.g, self.Z = lat, g, _forward(lat, g)
         self.Z.flags.writeable = False
-        p, q_w = self.W.shape[1:]
+        p, q_w = self.Z.shape[2:]
         self.scale, self.wide = lat.L / p, p <= q_w  # wide: density <= 1
-
-    def forward(self, f: np.ndarray) -> np.ndarray:
-        """Zak blocks of f, which enters through as_signal."""
-        return self._blocks(as_signal(f, self.lat.L))
-
-    def _blocks(self, f: np.ndarray) -> np.ndarray:
-        """Zak blocks of a checked signal: gathered unitary DFTs of its c residue classes."""
-        return np.fft.fft(f.reshape(-1, self.c).T, axis=1, norm="ortho")[:, self.W]
-
-    def inverse(self, Z: np.ndarray) -> np.ndarray:
-        """The signals whose Zak blocks are Z, shape (..., c, d, p, q_w)."""
-        batch = Z.shape[:-4]
-        spectra = np.empty((*batch, self.c, self.lat.L // self.c), dtype=np.complex128)
-        spectra[..., self.W] = Z
-        return np.fft.ifft(spectra, norm="ortho").swapaxes(-1, -2).reshape(*batch, self.lat.L)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -188,18 +186,18 @@ class _FrameAnalysis:
     def apply(self, f: np.ndarray | None = None, h: np.ndarray | None = None) -> np.ndarray:
         """S f (S g by default); with a second window h, sum <f, h_mn> g_mn.
         (L/p) Z_g Z_h^H Z_f, multiplied through the smaller Gram."""
-        Zf = self.Z if f is None else self.forward(f)
-        ZhH = None if h is None else _ct(self.forward(h))
+        Zf = self.Z if f is None else _forward(self.lat, as_signal(f, self.lat.L))
+        ZhH = None if h is None else _ct(_forward(self.lat, as_signal(h, self.lat.L)))
         if self.wide:
-            return self.inverse(self.scale * (self.gram if h is None else self.Z @ ZhH) @ Zf)
-        return self.inverse(self.scale * self.Z @ ((_ct(self.Z) if h is None else ZhH) @ Zf))
+            return _inverse(self.lat, self.scale * (self.gram if h is None else self.Z @ ZhH) @ Zf)
+        return _inverse(self.lat, self.scale * self.Z @ ((_ct(self.Z) if h is None else ZhH) @ Zf))
 
     def walnut(self, Zh: np.ndarray | None = None) -> np.ndarray:
         """The period-a Walnut table of the window h with Zak blocks Zh (h = g by default),
         shape (a, b): [s, k] = Hk[k][s] = sum_n h(s - n*a) conj(g(s - n*a - k*q)), from the
         cross-Gram blocks Z_h Z_g^H; see _walnut_layout."""
         T = (self.gram if Zh is None and self.wide else
-             (self.Z if Zh is None else Zh) @ _ct(self.Z)).reshape(self.c, -1)
+             (self.Z if Zh is None else Zh) @ _ct(self.Z)).reshape(self.Z.shape[0], -1)
         T = np.fft.fft(T[:, _walnut_layout(self.lat)], axis=2)
         if T.shape[1] > 1:  # P > 1: inverse DFT over j, then s = e + c*m
             T = np.fft.ifft(T, axis=1).swapaxes(0, 1)
@@ -242,7 +240,7 @@ class _FrameAnalysis:
         Y[..., p:] = coeffs.reshape(*Y.shape[:-1], q_w - p)
         for j in reversed(range(p)):
             Y -= (Y @ u[..., j, :, None]) * (w[..., j, None, None] * np.conj(u[..., j, None, :]))
-        return self.inverse(Y)
+        return _inverse(self.lat, Y)
 
     def power(self, power: float) -> np.ndarray:
         """Zak blocks of S^power g, U ((L/p) sigma^2)^power R; NotAFrameError if no frame."""
@@ -261,7 +259,7 @@ class _FrameAnalysis:
         Zh = self.power(-1.0)
         if self.eig[1] is not None:
             Zh = 2 * Zh - self.scale * (Zh @ _ct(self.Z)) @ Zh
-        h = self.inverse(Zh)
+        h = _inverse(self.lat, Zh)
         Zh.flags.writeable = h.flags.writeable = False
         return Zh, h
 
@@ -311,8 +309,7 @@ def canonical_dual(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
 
 def tighten(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
     """The canonical tight window S^-1/2 g; its own frame operator is I."""
-    analysis = _analysis(lat, g)
-    return analysis.inverse(analysis.power(-0.5))
+    return _inverse(lat, _analysis(lat, g).power(-0.5))
 
 
 def reconstruct(lat: GaborLattice, g: np.ndarray, h: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -55,7 +55,7 @@ class GaborLattice:
     def __post_init__(self):
         for name in ("L", "a", "b"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
                 raise LatticeError(f"{name} must be a positive integer, got {v!r}")
             object.__setattr__(self, name, int(v))  # np.integer in, int out
         if self.a > self.L or self.L % self.a:

@@ -11,7 +11,8 @@ explicit family: pick any real phase array phi[y][j] (in cycles), set
     w_y(j) = L**-0.5 * exp(2*pi*i*phi[y][j]),   z_y = unitary-IDFT(w_y),
 
 and interleave the z_y back into g. Phase extraction inverts this, so the
-parametrization is complete as well as sound.
+parametrization is complete as well as sound. The w_y are frame's 1 x 1 Zak
+blocks (c = a, d = b), so both directions read its forward/inverse pair.
 
 Below critical density there is no such closed form; random tight windows
 are produced by drawing a Gaussian window and applying the canonical
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LatticeError, NotAFrameError, NotTightError
-from .frame import DEFAULT_TOL, tighten
+from .frame import DEFAULT_TOL, _forward, _inverse, _zak_layout, tighten
 from .lattice import GaborLattice, as_signal, norm_sq
 
 __all__ = [
@@ -103,10 +104,8 @@ def tight_generator_from_phases(spec: PhaseSpec) -> np.ndarray:
     z_y = unitary inverse DFT of w_y, and g(y + n*a) = z_y(n). The result
     is always normalized tight with norm_sq(g) == 1.
     """
-    lat = spec.lat
-    spectra = np.exp(2j * np.pi * spec.phases) / np.sqrt(lat.L)
-    rows = np.fft.ifft(spectra, axis=1, norm="ortho")
-    return rows.T.reshape(lat.L)  # g(y + n*a) = rows[y][n]
+    lat, W = spec.lat, _zak_layout(spec.lat)[1]  # Zak block [y, i]: w_y at frequency W[i]
+    return _inverse(lat, (np.exp(2j * np.pi * spec.phases) / np.sqrt(lat.L))[:, W])
 
 
 def phases_from_tight_generator(lat: GaborLattice, g: np.ndarray,
@@ -121,15 +120,15 @@ def phases_from_tight_generator(lat: GaborLattice, g: np.ndarray,
         raise LatticeError(
             f"phase extraction needs a*b == L, got {lat.a}*{lat.b} != {lat.L}"
         )
-    rows = as_signal(g, lat.L).reshape(lat.N, lat.a).T  # z_y(n) = g(y + n*a)
-    spectra = np.fft.fft(rows, axis=1, norm="ortho")
+    spectra = _forward(lat, as_signal(g, lat.L))  # Zak block [y, i]: w_y at frequency W[i]
     deviation = float(np.max(np.abs(np.abs(spectra) - lat.L ** -0.5)))
     if deviation > tol:
         raise NotTightError(
             f"residue spectrum modulus off by {deviation:.3e} (tol {tol:.1e}); "
             "window is not a normalized tight generator"
         )
-    phases = np.mod(np.angle(spectra) / (2 * np.pi), 1.0)
+    phases = np.empty((lat.a, lat.b))
+    phases[:, _zak_layout(lat)[1]] = np.mod(np.angle(spectra) / (2 * np.pi), 1.0)
     return PhaseSpec(lat, phases)
 
 

@@ -149,6 +149,19 @@ class TestExitCodes:
         error = json.loads(err)["error"]
         assert out == "" and error["type"] == "ValueError" and field in error["message"]
 
+    @pytest.mark.parametrize("field,value", [
+        ("g", "[" * 5000 + "]" * 5000),                      # the window itself, 10 KB
+        ("unused", '{"x": ' * 3000 + "0" + "}" * 3000),      # a field no command reads
+    ], ids=["deep-array-g", "deep-object-unused"])
+    def test_deep_nesting_exits_2(self, tmp_path, capsys, field, value):
+        # the JSON decoder recurses once per level and raised RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text('{"L": 4, "a": 2, "b": 2, "%s": %s}' % (field, value))
+        assert main(["analyze", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        error = json.loads(err)["error"]
+        assert out == "" and error == {"type": "ValueError", "message": "input nests too deeply"}
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["bounds", "--input", str(tmp_path / "absent.json")]) == 2
         assert "error" in json.loads(capsys.readouterr().err)

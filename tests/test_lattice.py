@@ -48,6 +48,14 @@ class TestGaborLattice:
         with pytest.raises(LatticeError):
             GaborLattice(L, a, b)
 
+    @pytest.mark.parametrize("L,a,b", [(True, 1, 1), (4, True, 2), (4, 2, True),
+                                       (4, np.True_, 2), (4, False, 2)])
+    def test_rejects_booleans(self, L, a, b):
+        # bool is an int: without the check, a = True would build a = 1
+        bad = next(v for v in (L, a, b) if isinstance(v, (bool, np.bool_)))
+        with pytest.raises(LatticeError, match=f"must be a positive integer, got {bad!r}"):
+            GaborLattice(L, a, b)
+
     def test_swapped(self):
         assert GaborLattice(12, 3, 4).swapped() == GaborLattice(12, 4, 3)
 

@@ -150,6 +150,33 @@ class TestPhaseExtraction:
         assert np.max(np.abs(tight_generator_from_phases(spec) - g)) <= 1e-9
 
 
+def residue_generator(lat, phases):
+    """The residue construction itself: per-residue unitary IDFTs, interleaved."""
+    rows = np.fft.ifft(np.exp(2j * np.pi * phases) / np.sqrt(lat.L), axis=1, norm="ortho")
+    return rows.T.reshape(lat.L)  # g(y + n*a) = rows[y][n]
+
+
+def residue_phases(lat, g):
+    """Its inverse: the unitary DFT of every residue subsequence z_y(n) = g(y + n*a)."""
+    spectra = np.fft.fft(g.reshape(lat.N, lat.a).T, axis=1, norm="ortho")
+    return np.mod(np.angle(spectra) / (2 * np.pi), 1.0)
+
+
+def test_phase_api_is_the_residue_construction_bit_for_bit():
+    # the phase API reads frame's Zak transform, whose 1 x 1 blocks at a*b = L
+    # are the residue spectra in another order: every bit must survive the move
+    rng = np.random.default_rng(21)
+    lattices = [GaborLattice(L, a, L // a) for L in range(1, 121)
+                for a in range(1, L + 1) if L % a == 0]
+    assert len(lattices) == 602  # 601 with L >= 2, and (1, 1, 1)
+    for lat in lattices:
+        phases = rng.random((lat.a, lat.b))
+        g = tight_generator_from_phases(PhaseSpec(lat, phases))
+        assert np.array_equal(g, residue_generator(lat, phases)), lat
+        assert np.array_equal(phases_from_tight_generator(lat, g).phases,
+                              residue_phases(lat, g)), lat
+
+
 class TestRandomTightGenerator:
     def test_critical_density(self):
         lat = GaborLattice(4, 2, 2)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from whframe import (
     GaborLattice,
     NotAFrameError,
+    PhaseSpec,
     adjoint_atom,
     canonical_dual,
     classify,
@@ -28,14 +29,16 @@ from whframe import (
     frame_bounds,
     inner,
     make_alternate_dual,
+    phases_from_tight_generator,
     reconstruct,
+    tight_generator_from_phases,
     tighten,
     walnut_apply,
     wexler_raz_check,
 )
 from whframe import correlation, frame
 from whframe.cli import main
-from whframe.frame import _FrameAnalysis
+from whframe.frame import _FrameAnalysis, _forward, _inverse
 from whframe.oracle import (
     analysis_array,
     oracle_frame_bounds,
@@ -56,10 +59,10 @@ def test_zak_kernel_against_oracle(lat, seed):
     rng = np.random.default_rng(seed)
     g, h, f = random_signal(rng, lat.L), random_signal(rng, lat.L), random_signal(rng, lat.L)
     analysis = _FrameAnalysis(lat, g)
-    assert np.max(np.abs(analysis.inverse(analysis.forward(f)) - f)) <= 1e-12 * np.max(np.abs(f))
+    assert np.max(np.abs(_inverse(lat, _forward(lat, f)) - f)) <= 1e-12 * np.max(np.abs(f))
     loop = np.array([[inner(h, adjoint_atom(lat, g, k, l)) for l in range(lat.b)]
                      for k in range(lat.a)])
-    assert np.max(np.abs(analysis.products(analysis.forward(h)) - loop)) <= 1e-12 * np.max(np.abs(loop))
+    assert np.max(np.abs(analysis.products(_forward(lat, h)) - loop)) <= 1e-12 * np.max(np.abs(loop))
     Sf = oracle_operator(lat, g) @ f
     assert np.max(np.abs(walnut_apply(lat, g, f) - Sf)) <= REL * np.max(np.abs(Sf))
     mixed = np.conj(analysis_array(lat, g).T) @ (analysis_array(lat, h) @ f)
@@ -202,8 +205,20 @@ def calls(monkeypatch):
     (lambda lat, g, h: frame.frame_operator(lat, g), (48, 4, 6), 2),
     (correlation.frame_energy_split, (48, 4, 6), 4),
     (lambda lat, g, h: classify(lat, g), (36, 4, 6), 5),  # P = 2: one length-P inverse DFT
+    # the phase API is one inverse or one forward block transform at a*b = L
+    (lambda lat, g, h: tight_generator_from_phases(PhaseSpec(lat, g.real.reshape(3, 4))),
+     (12, 3, 4), 1),
+    (lambda lat, g, h: phases_from_tight_generator(lat, np.repeat([1.0, 0.0], [3, 9]) / np.sqrt(3)),
+     (12, 3, 4), 1),
+    # the block FFT of g, and one inverse per signal out; one forward per extra window in
+    (lambda lat, g, h: tighten(lat, g), (48, 4, 6), 2),
+    (lambda lat, g, h: canonical_dual(lat, g), (48, 4, 6), 2),
+    (lambda lat, g, h: reconstruct(lat, g, h, g + h), (48, 4, 6), 4),
+    (walnut_apply, (48, 4, 6), 3),
 ], ids=["classify", "wexler_raz_check", "dual_conditions_walnut", "decompose_dual",
-        "walnut_upper_bound", "frame_operator", "frame_energy_split", "classify-P2"])
+        "walnut_upper_bound", "frame_operator", "frame_energy_split", "classify-P2",
+        "tight_generator_from_phases", "phases_from_tight_generator", "tighten",
+        "canonical_dual", "reconstruct", "walnut_apply"])
 def test_transform_count(calls, call, shape, count):
     lat = GaborLattice(*shape)
     rng = np.random.default_rng(22)
