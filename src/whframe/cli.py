@@ -9,6 +9,9 @@ vectors as [re, im] pairs:
      "f": [[...], ...],                  # test signal (wh-identity)
      "phases": [[0.25, ...], ...]}       # a x b phase array (make-tight)
 
+Reports are encoded here alone: _report writes the library's result values,
+dataclasses field by field and complex values as the same [re, im] pairs.
+
 Exit codes: 0 when the computation succeeds and the checked property
 holds, 1 when the property fails (not tight, not dual, not a frame), and
 2 for input or usage errors, reported as a JSON object on stderr.
@@ -23,14 +26,14 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .correlation import correlation_profile, frame_energy_split, walnut_upper_bound
 from .duality import decompose_dual, dual_space, wexler_raz_check
 from .frame import DEFAULT_TOL, frame_bounds, norm_audit, walnut_apply
-from .lattice import GaborLattice, _pairs, as_signal, dft, norm_sq
+from .lattice import GaborLattice, as_signal, dft, norm_sq
 from .synthesis import PhaseSpec, random_tight_generator, tight_generator_from_phases
 from .tightness import classify, density_diagnostics
 
@@ -117,6 +120,17 @@ def _require(data: ParsedInput, *names: str) -> list[np.ndarray]:
     return [getattr(data, name) for name in names]
 
 
+def _report(value):
+    """A library result as JSON values: a dataclass as its fields in order, a complex
+    scalar or array as nested [re, im] float pairs, anything else as it is."""
+    if is_dataclass(value):
+        return {field.name: _report(getattr(value, field.name)) for field in fields(value)}
+    if isinstance(value, (complex, np.ndarray)):
+        value = np.asarray(value, dtype=np.complex128)
+        return np.stack([value.real, value.imag], axis=-1).tolist()
+    return value
+
+
 def _lattice_dict(lat: GaborLattice) -> dict:
     return {
         "L": lat.L, "a": lat.a, "b": lat.b,
@@ -137,11 +151,11 @@ def _cmd_analyze(data: ParsedInput, config: JobConfig):
     (g,) = _require(data, "g")
     report = classify(data.lat, g, config.tol)
     # before norm_audit, which may analyze g on the adjoint lattice
-    density = density_diagnostics(data.lat, g).to_dict() if report.is_frame else None
+    density = _report(density_diagnostics(data.lat, g)) if report.is_frame else None
     out = {
         **_header(data.lat),
-        "tightness": report.to_dict(),
-        "norm_audit": norm_audit(data.lat, g, config.tol).to_dict(),
+        "tightness": _report(report),
+        "norm_audit": _report(norm_audit(data.lat, g, config.tol)),
         "density_diagnostics": density,
     }
     return (0 if report.is_frame else 1), out
@@ -150,7 +164,7 @@ def _cmd_analyze(data: ParsedInput, config: JobConfig):
 def _cmd_check_tight(data: ParsedInput, config: JobConfig):
     (g,) = _require(data, "g")
     report = classify(data.lat, g, config.tol)
-    out = {**_header(data.lat), "tightness": report.to_dict()}
+    out = {**_header(data.lat), "tightness": _report(report)}
     return (0 if report.normalized_tight else 1), out
 
 
@@ -161,7 +175,7 @@ def _cmd_make_tight(data: ParsedInput, config: JobConfig):
         g = random_tight_generator(data.lat, config.seed)
     out = {
         "L": data.lat.L, "a": data.lat.a, "b": data.lat.b,
-        "g": _pairs(g),
+        "g": _report(g),
         "norm_sq": norm_sq(g),
         "constants": _header(data.lat)["constants"],
     }
@@ -173,8 +187,10 @@ def _cmd_dual(data: ParsedInput, config: JobConfig):
     space = dual_space(data.lat, g)
     out = {
         **_header(data.lat),
-        "canonical_dual": _pairs(space.canonical_dual),
-        "dual_space": space.to_dict(),
+        "canonical_dual": _report(space.canonical_dual),
+        "dual_space": {"orbit_rank": space.orbit_rank, "dimension": space.dimension,
+                       "complement_basis": [{"residue": s, "values": row} for s, rows in
+                                            enumerate(_report(space.class_rows)) for row in rows]},
     }
     return 0, out
 
@@ -182,7 +198,7 @@ def _cmd_dual(data: ParsedInput, config: JobConfig):
 def _cmd_verify_dual(data: ParsedInput, config: JobConfig):
     g, h = _require(data, "g", "h")
     report = decompose_dual(data.lat, g, h, config.tol)
-    out = {**_header(data.lat), "dual_report": report.to_dict()}
+    out = {**_header(data.lat), "dual_report": _report(report)}
     return (0 if report.is_dual else 1), out
 
 
@@ -202,8 +218,8 @@ def _cmd_fourier_dual(data: ParsedInput, config: JobConfig):
     out = {
         "lattice": _lattice_dict(data.lat),
         "swapped_lattice": _lattice_dict(swapped),
-        "tightness": here.to_dict(),
-        "swapped_tightness": there.to_dict(),
+        "tightness": _report(here),
+        "swapped_tightness": _report(there),
         "agree": agree,
     }
     return (0 if agree else 1), out
@@ -232,7 +248,7 @@ def _cmd_bounds(data: ParsedInput, config: JobConfig):
     (g,) = _require(data, "g")
     out = {
         **_header(data.lat),
-        "bounds": frame_bounds(data.lat, g).to_dict(),
+        "bounds": _report(frame_bounds(data.lat, g)),
         "walnut_upper_bound": walnut_upper_bound(data.lat, g),
     }
     return 0, out
@@ -240,11 +256,13 @@ def _cmd_bounds(data: ParsedInput, config: JobConfig):
 
 def _cmd_profile(data: ParsedInput, config: JobConfig):
     (g,) = _require(data, "g")
-    profile = correlation_profile(data.lat, g)
+    # k-major rows of Python floats, -0.0 read as 0.0; a float's str is its shortest repr
+    columns, table = ["k", "x", "re", "im", "abs"], correlation_profile(data.lat, g).table
+    rows = [[k, x, v.real + 0.0, v.imag + 0.0, abs(v) + 0.0]
+            for k, row in enumerate(table.tolist()) for x, v in enumerate(row)]
     if (config.format or "csv") == "csv":
-        return 0, profile.to_csv()
-    rows = [[k, x, v.real, v.imag, abs(v)] for (k, x), v in np.ndenumerate(profile.table)]
-    return 0, {"columns": ["k", "x", "re", "im", "abs"], "rows": rows}
+        return 0, "".join(",".join(map(str, row)) + "\n" for row in [columns, *rows])
+    return 0, {"columns": columns, "rows": rows}
 
 
 _HANDLERS = {

@@ -48,20 +48,6 @@ class CorrelationProfile:
     lat: GaborLattice
     table: np.ndarray
 
-    def to_csv(self) -> str:
-        """Serialize as CSV with columns k,x,re,im,abs, one row per (k, x).
-
-        Rows are k-major. Floats are written with repr (shortest
-        round-trip form); negative zero is normalized to 0.0.
-        """
-        lines = ["k,x,re,im,abs"]
-        for k in range(self.lat.b):
-            for x in range(self.lat.L):
-                v = complex(self.table[k, x])
-                re, im, mag = v.real + 0.0, v.imag + 0.0, abs(v) + 0.0
-                lines.append(f"{k},{x},{re!r},{im!r},{mag!r}")
-        return "\n".join(lines) + "\n"
-
 
 def cross_correlation_table(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Table of sum_n h(x - n*a) * conj(g(x - n*a - k*q)), shape (b, L): row k is

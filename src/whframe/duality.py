@@ -27,12 +27,12 @@ the canonical dual is the only dual.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .frame import DEFAULT_TOL, _FrameAnalysis, _analysis, _forward
-from .lattice import GaborLattice, _pairs, as_signal
+from .lattice import GaborLattice, as_signal
 
 __all__ = [
     "DualSpace",
@@ -50,7 +50,7 @@ class DualSpace:
 
     Coefficients C, shape (c, d, p, q_w - p), stand for the blocks C @ null^H.
     Flattened, coefficient i gives basis row i, which lies on the residue class
-    mod c = gcd(a, M) named by C's first index. to_dict leaves out S^-1 g."""
+    mod c = gcd(a, M) named by C's first index; class_rows lists the basis by class."""
 
     lat: GaborLattice
     canonical_dual: np.ndarray
@@ -72,20 +72,13 @@ class DualSpace:
         """The orthonormal basis of W as a dense (dimension, L) matrix, built on each read."""
         return self.analysis.free(np.eye(self.dimension, dtype=np.complex128))
 
-    def to_dict(self) -> dict:
-        """Each basis row as its class s mod c and its L/c [re, im] values at x = s + t*c.
-        Signal r of the c-fold tiled identity is basis row r of every class at once."""
+    @property
+    def class_rows(self) -> np.ndarray:
+        """The basis by class, shape (c, dimension/c, L/c): [s, r, t] is row r of class s mod c
+        at x = s + t*c; signal r of the c-fold tiled identity is row r of every class at once."""
         c = self.analysis.Z.shape[0]
         signals = self.analysis.free(np.tile(np.eye(self.dimension // c, dtype=np.complex128), c))
-        values = signals.reshape(-1, self.lat.L // c, c).transpose(2, 0, 1)
-        return {
-            "orbit_rank": self.orbit_rank,
-            "dimension": self.dimension,
-            "complement_basis": [
-                {"residue": s, "values": row}
-                for s, rows in enumerate(_pairs(values)) for row in rows
-            ],
-        }
+        return signals.reshape(-1, self.lat.L // c, c).transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -98,10 +91,6 @@ class DualReport:
     canonical_part: np.ndarray
     free_part: np.ndarray
     free_part_in_complement: bool
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "canonical_part": _pairs(self.canonical_part),
-                "free_part": _pairs(self.free_part)}
 
 
 def wexler_raz_check(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:

@@ -34,7 +34,7 @@ return fresh arrays, and the entry stays resident, null(Z_g) reflectors included
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 
@@ -75,9 +75,6 @@ class FrameBounds:
         """The frame gate: A > FRAME_FLOOR * B with B > 0."""
         return self.B > 0 and self.A > FRAME_FLOOR * self.B
 
-    def to_dict(self) -> dict:
-        return {"A": self.A, "B": self.B}
-
 
 @dataclass(frozen=True)
 class NormAudit:
@@ -95,9 +92,6 @@ class NormAudit:
     at_bound: bool
     max_overlap: float | None
     orthogonal_to_rest: bool | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @lru_cache(maxsize=64)

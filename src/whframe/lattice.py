@@ -103,12 +103,6 @@ def as_signal(values, L: int | None = None) -> np.ndarray:
     return s
 
 
-def _pairs(s) -> list:
-    """Complex values as nested [re, im] float lists (JSON; as_signal reads them)."""
-    s = np.asarray(s, dtype=np.complex128)
-    return np.stack([s.real, s.imag], axis=-1).tolist()
-
-
 def translate(s: np.ndarray, t: int) -> np.ndarray:
     """Cyclic shift by t samples: output(x) = s(x - t mod L)."""
     return np.roll(s, t)

@@ -66,14 +66,6 @@ class PhaseSpec:
             raise ValueError("phases contain non-finite entries")
         object.__setattr__(self, "phases", phases)
 
-    def to_dict(self) -> dict:
-        return {
-            "L": self.lat.L,
-            "a": self.lat.a,
-            "b": self.lat.b,
-            "phases": self.phases.tolist(),
-        }
-
 
 def shift_orthogonality_residual(z: np.ndarray, target_norm_sq: float) -> float:
     """How far z is from being orthogonal to its proper cyclic shifts.

@@ -24,13 +24,13 @@ iff it has exactly L atoms (M*N == L, i.e. a*b == L).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .duality import _adjoint_gap, _flat_gap, dual_conditions_walnut, wexler_raz_check
 from .frame import DEFAULT_TOL, FrameBounds, _analysis
-from .lattice import GaborLattice, _pairs, dft, norm_sq
+from .lattice import GaborLattice, dft, norm_sq
 
 __all__ = [
     "TightnessReport",
@@ -66,9 +66,6 @@ class TightnessReport:
     cond4_residual: float
     cond5_residual: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class DensityReport:
@@ -85,9 +82,6 @@ class DensityReport:
     pairing_residual: float
     adjoint_residual: float
     riesz_basis: bool
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "dual_pairing": _pairs(self.dual_pairing)}
 
 
 def check_cond_walnut(lat: GaborLattice, g: np.ndarray) -> float:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from math import gcd
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from whframe import (
 )
 from whframe import cli
 from whframe.cli import JobConfig, _lattice_dict, main, parse_signal_file, run
+
+import cli_sweep
 
 ROOT2_INV = repr(2 ** -0.5)  # full-precision 1/sqrt(2)
 
@@ -293,7 +296,7 @@ def test_numpy_integer_lattice_serializes():
     assert json.loads(json.dumps(_lattice_dict(lat)))["q"] == 8
     report = classify(lat, random_tight_generator(lat, 1))
     assert report.normalized_tight
-    json.dumps(report.to_dict())
+    json.dumps(cli._report(report))
 
 
 class TestDualCommands:
@@ -317,8 +320,12 @@ class TestDualCommands:
         for i, row in enumerate(rows):
             assert len(row["values"]) == L // c
             expanded[i, row["residue"]::c] = np.array(row["values"]).view(complex)[:, 0]
-        basis = dual_space(lat, g.view(complex)[:, 0]).complement_basis
-        assert np.array_equal(expanded, basis)
+        space = dual_space(lat, g.view(complex)[:, 0])
+        assert np.array_equal(expanded, space.complement_basis)
+        scattered = np.zeros_like(expanded).reshape(c, -1, L)
+        for s in range(c):
+            scattered[s, :, s::c] = space.class_rows[s]
+        assert np.array_equal(scattered.reshape(-1, L), space.complement_basis)
 
     def test_verify_dual_accepts_alternate(self, tmp_path, capsys):
         g = [[float(ROOT2_INV), 0], [0, 0], [0, 0], [0, 0]]
@@ -476,15 +483,16 @@ def test_cli_reports_equal_library_reports(tmp_path, capsys, L, a, b, kind):
     tightness = classify(lat, g, tol)
     code, out = report("check-tight")
     assert code == (0 if tightness.normalized_tight else 1)
-    assert out["tightness"] == roundtrip(tightness.to_dict())
+    assert out["tightness"] == roundtrip(asdict(tightness))
     code, out = report("analyze")
     assert code == (0 if frame else 1)
-    assert out["tightness"] == roundtrip(tightness.to_dict())
-    assert out["norm_audit"] == roundtrip(norm_audit(lat, g, tol).to_dict())
-    assert out["density_diagnostics"] == (
-        roundtrip(density_diagnostics(lat, g).to_dict()) if frame else None)
+    assert out["tightness"] == roundtrip(asdict(tightness))
+    assert out["norm_audit"] == roundtrip(asdict(norm_audit(lat, g, tol)))
+    density = density_diagnostics(lat, g) if frame else None
+    assert out["density_diagnostics"] == (roundtrip(
+        {**asdict(density), "dual_pairing": pairs(density.dual_pairing)}) if frame else None)
     code, out = report("bounds")
-    assert out["bounds"] == roundtrip(frame_bounds(lat, g).to_dict())
+    assert out["bounds"] == roundtrip(asdict(frame_bounds(lat, g)))
     assert out["walnut_upper_bound"] == walnut_upper_bound(lat, g)
     residual = wexler_raz_check(lat, g, h)
     code, out = report("wexler-raz")
@@ -498,7 +506,8 @@ def test_cli_reports_equal_library_reports(tmp_path, capsys, L, a, b, kind):
         dual = decompose_dual(lat, g, h, tol)
         code, out = report("verify-dual")
         assert code == (0 if dual.is_dual else 1)
-        assert out["dual_report"] == roundtrip(dual.to_dict())
+        assert out["dual_report"] == roundtrip({**asdict(dual), "canonical_part": pairs(
+            dual.canonical_part), "free_part": pairs(dual.free_part)})
 
 
 @pytest.fixture
@@ -535,3 +544,15 @@ def test_module_entry_point(impulse_path):
     )
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["tightness"]["is_frame"] is False
+
+
+def test_cli_sweep_on_the_fixtures(tmp_path):
+    # the sweep tool of cli_sweep.py, on the three fixtures: 14 argument lists each
+    cli_sweep.write_fixtures(tmp_path)
+    records = cli_sweep.run_matrix(tmp_path)
+    exits = {name: "".join(str(r["exit"]) for r in records if r["input"] == f"{name}.json")
+             for name in ("box", "delta", "impulse")}
+    assert exits == {"box": "00002202000002", "delta": "00002202000002",
+                     "impulse": "11022202000012"}
+    assert cli_sweep.differences(records, cli_sweep.run_matrix(tmp_path)) == []
+    assert cli_sweep.differences(records, records[1:]) == ["box.json analyze"]

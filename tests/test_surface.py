@@ -1,6 +1,6 @@
 """The public surface is declared once: the package re-exports each module's
-__all__, every tol parameter defaults to frame.DEFAULT_TOL, and the console
-script named in pyproject.toml resolves.
+__all__, every tol parameter defaults to frame.DEFAULT_TOL, only cli.py
+encodes reports, and the console script named in pyproject.toml resolves.
 """
 
 import ast
@@ -67,6 +67,24 @@ def test_default_tolerance_literal_appears_once():
             if token.type == tokenize.NUMBER and ast.literal_eval(token.string) == DEFAULT_TOL:
                 hits.append((path.name, token.line.strip()))
     assert hits == [("frame.py", "DEFAULT_TOL = 1e-9")]
+
+
+def test_only_the_cli_writes_reports():
+    """Library results are plain values: no module but cli.py defines to_dict, to_csv
+    or _pairs, or imports asdict or _pairs."""
+    hits = []
+    for path in sorted((ROOT / "src" / "whframe").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in ("to_dict", "to_csv", "_pairs"):
+                hits.append((path.name, node.lineno, node.name))
+            if isinstance(node, ast.Name) and node.id == "_pairs":  # bound or read
+                hits.append((path.name, node.lineno, node.id))
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                hits += [(path.name, node.lineno, alias.name) for alias in node.names
+                         if alias.name.rsplit(".", 1)[-1] in ("asdict", "_pairs")]
+    assert hits == []
 
 
 def test_console_script_target_resolves():

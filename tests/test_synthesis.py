@@ -88,10 +88,6 @@ class TestPhaseSpec:
         with pytest.raises(ValueError, match="non-finite"):
             PhaseSpec(GaborLattice(4, 2, 2), np.array([[bad, 0.0], [0.0, 0.25]]))
 
-    def test_to_dict(self):
-        spec = PhaseSpec(GaborLattice(4, 2, 2), np.zeros((2, 2)))
-        assert spec.to_dict() == {"L": 4, "a": 2, "b": 2, "phases": [[0.0, 0.0], [0.0, 0.0]]}
-
 
 class TestTightGeneratorFromPhases:
     def test_zero_phases_give_box_window(self):

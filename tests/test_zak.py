@@ -231,8 +231,8 @@ def test_transform_count(calls, call, shape, count):
     # more; the 1 x 2 Zak blocks of (48, 4, 6) take no eigh, the 2 x 3 of (36, 4, 6) one
     (lambda lat, g, h: make_alternate_dual(lat, g, h[:lat.L - lat.a * lat.b]), (48, 4, 6), 3, 0),
     (lambda lat, g, h: make_alternate_dual(lat, g, h[:lat.L - lat.a * lat.b]), (36, 4, 6), 3, 1),
-    (lambda lat, g, h: dual_space(lat, g).to_dict(), (48, 4, 6), 3, 0),
-    (lambda lat, g, h: dual_space(lat, g).to_dict(), (36, 4, 6), 3, 1),
+    (lambda lat, g, h: dual_space(lat, g).class_rows, (48, 4, 6), 3, 0),
+    (lambda lat, g, h: dual_space(lat, g).class_rows, (36, 4, 6), 3, 1),
 ], ids=["make_alternate_dual", "make_alternate_dual-P2", "dual_space_to_dict",
         "dual_space_to_dict-P2"])
 def test_dual_space_transform_count(calls, call, shape, ffts, eighs):
