@@ -15,6 +15,9 @@ dataclasses field by field and complex values as the same [re, im] pairs.
 Exit codes: 0 when the computation succeeds and the checked property
 holds, 1 when the property fails (not tight, not dual, not a frame), and
 2 for input or usage errors, reported as a JSON object on stderr.
+Three commands write more than they read: profile b*L rows, dual (L - a*b)*L/c basis
+pairs (c = gcd(a, M)), make-tight without phases L pairs. A job whose count, read off
+(L, a, b) before any work, passes MAX_OUTPUT_VALUES exits 2 and writes nothing.
 The WHFRAME_TOL environment variable overrides the default tolerance;
 an explicit --tol beats both.
 """
@@ -27,6 +30,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields, is_dataclass
+from math import gcd
 
 import numpy as np
 
@@ -38,6 +42,9 @@ from .synthesis import PhaseSpec, random_tight_generator, tight_generator_from_p
 from .tightness import classify, density_diagnostics
 
 __all__ = ["JobConfig", "parse_signal_file", "run", "main", "entry_point"]
+
+# The most rows or [re, im] pairs a job may write beyond its input.
+MAX_OUTPUT_VALUES = 2**20
 
 
 @dataclass(frozen=True)
@@ -281,6 +288,17 @@ _HANDLERS = {
 COMMANDS = tuple(_HANDLERS)
 
 
+def _check_output_size(command: str, data: ParsedInput) -> None:
+    """Refuse a job whose output, counted from (L, a, b), passes MAX_OUTPUT_VALUES."""
+    L, a, b = data.lat.L, data.lat.a, data.lat.b
+    count = {"profile": b * L,
+             "dual": max(L - a * b, 0) * L // gcd(a, data.lat.M),
+             "make-tight": L if data.phases is None else 0}.get(command, 0)
+    if count > MAX_OUTPUT_VALUES:
+        raise ValueError(f"{command} would write {count} values, over the limit of "
+                         f"{MAX_OUTPUT_VALUES}")
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -300,6 +318,7 @@ def run(config: JobConfig) -> int:
     """Execute one job; returns the process exit code."""
     try:
         data = parse_signal_file(config.input_path)
+        _check_output_size(config.command, data)
         code, payload = _HANDLERS[config.command](data, config)
         text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
         _write_output(text, config.output_path)  # a failed write is an I/O error too

@@ -9,9 +9,9 @@ equivalent to that identity and to each other:
   * flat cross-correlation: the (h, g) correlation table has constant
     row 0 equal to b/L and vanishing other rows.
 
-Both read the table's period-a rows, which g's frame analysis takes off the
-cross-Gram blocks Z_h Z_g^H: the second directly, the first through their
-length-a DFTs, which are the a*b adjoint products <h, E_{kp} T_{lq} g>.
+Both read the table's period-a rows less b/L in row 0 (_FrameAnalysis.gap, off the cross-Gram
+blocks Z_h Z_g^H; residuals reads both): the second directly, the first through their length-a
+DFTs, which are the a*b adjoint products <h, E_{kp} T_{lq} g> less a*b/L at (0, 0).
 
 The set of all duals is the affine space S^-1 g + W, where W is the
 orthogonal complement of the span of the a*b adjoint atoms of g. On the
@@ -99,8 +99,7 @@ def wexler_raz_check(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
     Worst of |<h, g> - a*b/L| and |<h, adjoint_atom(k, l)>| over all
     (k, l) != (0, 0); at most tol means h is a dual.
     """
-    analysis = _analysis(lat, g)
-    return _adjoint_gap(_flat_gap(lat, analysis.walnut(_forward(lat, as_signal(h, lat.L)))))
+    return _analysis(lat, g).residuals(_forward(lat, as_signal(h, lat.L)))[0]
 
 
 def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
@@ -109,19 +108,7 @@ def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> f
     The worst of |Hk[0] - b/L| and |Hk[k != 0]| over the table
     Hk[k][x] = sum_n h(x - n*a) conj(g(x - n*a - k*q)).
     """
-    analysis = _analysis(lat, g)
-    return float(np.abs(_flat_gap(lat, analysis.walnut(_forward(lat, as_signal(h, lat.L))))).max())
-
-
-def _flat_gap(lat: GaborLattice, table: np.ndarray) -> np.ndarray:
-    """(h, g) Walnut table less b/L in column 0, in place: dual_conditions_walnut's max modulus."""
-    table[:, 0] -= lat.b / lat.L
-    return table
-
-
-def _adjoint_gap(gap: np.ndarray) -> float:
-    """The largest modulus of the adjoint products less a*b/L at (0, 0): gap's column DFTs."""
-    return float(np.abs(np.fft.fft(gap, axis=0)).max())
+    return float(np.abs(_analysis(lat, g).gap(_forward(lat, as_signal(h, lat.L)))).max())
 
 
 def dual_space(lat: GaborLattice, g: np.ndarray) -> DualSpace:
@@ -153,8 +140,7 @@ def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray,
     Z_dual, dual = analysis.dual
     h = as_signal(h, lat.L)
     Zh = _forward(lat, h)
-    gap = _flat_gap(lat, analysis.walnut(Zh))
-    wr, walnut = _adjoint_gap(gap), float(np.abs(gap).max())
+    wr, walnut = analysis.residuals(Zh)
     in_complement = float(np.linalg.norm((Zh - Z_dual) @ analysis.V)) <= tol
     return DualReport(
         is_dual=wr <= tol and walnut <= tol and in_complement,

@@ -20,6 +20,8 @@ Z_f -> (L/p) * Z_g Z_h^H Z_f. Every tightness and dual certificate reads the
 period-a Walnut table of (h, g): a fixed gather of the blocks Z_h Z_g^H, a length-b
 DFT and, when a/c > 1, a length-a/c inverse DFT. Its columns' length-a DFTs are the
 adjoint products <h, E_{kp} T_{lq} g> (Janssen), on the adjoint lattice the Gabor coefficients.
+gap, the table less b/L at k = 0, is zero iff h is a dual of g (at h = g, iff S = I), and
+residuals reads the Wexler-Raz and Walnut residuals off it, for tightness and duality alike.
 
 Near-singular operators are rejected rather than inverted: one gate,
 A > FRAME_FLOOR * B, decides "frame" everywhere in the package.
@@ -196,6 +198,18 @@ class _FrameAnalysis:
         if T.shape[1] > 1:  # P > 1: inverse DFT over j, then s = e + c*m
             T = np.fft.ifft(T, axis=1).swapaxes(0, 1)
         return T.reshape(self.lat.a, self.lat.b)
+
+    def gap(self, Zh: np.ndarray | None = None) -> np.ndarray:
+        """walnut(Zh) less b/L in column 0: zero iff h is a dual of g; with h = g, iff S = I."""
+        table = self.walnut(Zh)
+        table[:, 0] -= self.lat.b / self.lat.L
+        return table
+
+    def residuals(self, Zh: np.ndarray | None = None) -> tuple[float, float]:
+        """The Wexler-Raz and Walnut residuals of h (h = g by default): the largest moduli
+        of gap's column DFTs (the adjoint products less a*b/L at (0, 0)) and of gap."""
+        gap = self.gap(Zh)
+        return float(np.abs(np.fft.fft(gap, axis=0)).max()), float(np.abs(gap).max())
 
     def products(self, Zh: np.ndarray | None = None) -> np.ndarray:
         """The adjoint products <h, E_{kp} T_{lq} g>, shape (a, b): walnut(Zh)'s column DFTs."""

@@ -13,13 +13,13 @@ and only if any one of the following holds, and then all of them do:
       and oracle_adjoint_gram is the independent check;
   (5) the system is a frame and S g = g.
 
-Each check returns a residual; the criterion holds when the residual is
-at most the tolerance. Criteria (2)-(4) read the (g, g) Walnut table of
-the window's one frame analysis, (3)-(4) through its length-a DFTs, the
-adjoint products, and (5) its S g. classify() aggregates the residuals with the frame
-bounds and the basis flags: the system is an orthonormal basis iff it is
-normalized tight with a unit-norm window, and a frame is a Riesz basis
-iff it has exactly L atoms (M*N == L, i.e. a*b == L).
+Each check returns a residual; the criterion holds when the residual is at most the
+tolerance. Criteria (2)-(4) are the h = g case of the two dual certificates: the
+window's one frame analysis gives (2) the Walnut and (3)-(4) the Wexler-Raz residual
+(_FrameAnalysis.residuals), and (5) its S g. classify() aggregates the residuals with
+the frame bounds and the basis flags: the system is an orthonormal basis iff it is
+normalized tight with a unit-norm window, and a frame is a Riesz basis iff it has
+exactly L atoms (M*N == L, i.e. a*b == L).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import _adjoint_gap, _flat_gap, dual_conditions_walnut, wexler_raz_check
 from .frame import DEFAULT_TOL, FrameBounds, _analysis
 from .lattice import GaborLattice, dft, norm_sq
 
@@ -86,12 +85,12 @@ class DensityReport:
 
 def check_cond_walnut(lat: GaborLattice, g: np.ndarray) -> float:
     """Flat-profile residual |Gk[0] - b/L|, |Gk[k != 0]|: dual_conditions_walnut(g, g)."""
-    return dual_conditions_walnut(lat, g, g)
+    return _analysis(lat, g).residuals()[1]
 
 
 def check_cond_adjoint(lat: GaborLattice, g: np.ndarray) -> float:
     """Self-orthogonality residual plus the norm gap: wexler_raz_check(g, g)."""
-    return wexler_raz_check(lat, g, g)
+    return _analysis(lat, g).residuals()[0]
 
 
 def check_cond_orthogonal_system(lat: GaborLattice, g: np.ndarray) -> float:
@@ -117,7 +116,7 @@ def classify(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> Tigh
     """Full tightness report: bounds, all four residuals, basis flags.
 
     Tight means a frame with B - A <= tol * B, so no verdict changes when g is scaled.
-    Criteria (2)-(4) read the (g, g) Walnut table of the window's frame analysis.
+    Criteria (2)-(4) are the residuals of the window's frame analysis.
     """
     analysis = _analysis(lat, g)
     g, bounds = analysis.g, analysis.bounds
@@ -126,8 +125,7 @@ def classify(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> Tigh
     tight_constant = (bounds.A + bounds.B) / 2 if tight else None
     normalized_tight = is_frame and abs(bounds.A - 1.0) <= tol and abs(bounds.B - 1.0) <= tol
     onb = normalized_tight and abs(norm_sq(g) ** 0.5 - 1.0) <= tol
-    gap = _flat_gap(lat, analysis.walnut())  # criteria (3)-(4), (2)
-    adjoint, flat = _adjoint_gap(gap), float(np.abs(gap).max())
+    adjoint, flat = analysis.residuals()  # criteria (3)-(4), (2)
     fixed_point = float(np.abs(analysis.apply() - g).max())
     return TightnessReport(
         bounds=bounds,

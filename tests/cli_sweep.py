@@ -14,7 +14,10 @@ that tight one times 1e3 and a Gaussian zeroed on the coset a*Z_L; each with an
 alternate dual (frames) or a random h, a probe f and, at a*b = L, phases; one
 bare-lattice file per lattice; and the box, delta and impulse fixtures. `run`
 calls cli.main in process on every file with each of the 14 argument lists in
-VARIANTS, 1,134 runs. Pytest does not collect this file;
+VARIANTS, 1,134 runs, after checking that whframe was imported from SRC, and
+writes them to OUT with the SHA-256 of SRC/whframe/*.py. `compare` prints both
+hashes and warns when they are equal: two runs of one source tree show nothing
+about a change. Pytest does not collect this file;
 test_cli.py::test_cli_sweep_on_the_fixtures runs the matrix on the fixtures.
 """
 
@@ -122,6 +125,14 @@ def run_matrix(directory) -> list[dict]:
     return records
 
 
+def package_digest(package: Path) -> str:
+    """SHA-256 over the names and bytes of the package's *.py files, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted(package.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def differences(a: list[dict], b: list[dict]) -> list[str]:
     """The runs whose exit code, stdout or stderr differ, or that only one side has."""
     key = lambda r: f"{r['input']} {' '.join(r['args'])}"
@@ -137,15 +148,25 @@ def main(argv: list[str]) -> int:
         print(f"{len(list(Path(argv[1]).glob('*.json')))} input files in {argv[1]}")
         return 0
     if argv[:1] == ["run"] and len(argv) == 4:
-        sys.path.insert(0, str(Path(argv[1]).resolve()))
+        package = Path(argv[1]).resolve() / "whframe"
+        sys.path.insert(0, str(package.parent))
+        import whframe
+
+        if Path(whframe.__file__).resolve().parent != package:
+            raise RuntimeError(f"whframe imported from {whframe.__file__}, not from {package}")
         records = run_matrix(argv[2])
-        Path(argv[3]).write_text(json.dumps(records, indent=1) + "\n")
+        result = {"package": str(package), "sha256": package_digest(package), "runs": records}
+        Path(argv[3]).write_text(json.dumps(result, indent=1) + "\n")
         codes = [r["exit"] for r in records]
         print(f"{len(records)} runs: " + ", ".join(
             f"{codes.count(c)} x {c}" for c in sorted(set(codes), key=str)))
         return 0
     if argv[:1] == ["compare"] and len(argv) == 3:
         a, b = (json.loads(Path(p).read_text()) for p in argv[1:])
+        print(f"A: {a['sha256']} {a['package']}\nB: {b['sha256']} {b['package']}")
+        if a["sha256"] == b["sha256"]:
+            print("A and B ran the same source: this compare shows nothing about a change")
+        a, b = a["runs"], b["runs"]
         diff = differences(a, b)
         print("\n".join(diff + [f"{len(diff)} of {max(len(a), len(b))} runs differ"]))
         return 1 if diff else 0

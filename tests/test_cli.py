@@ -405,6 +405,72 @@ class TestMakeTight:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "NotAFrameError"
 
 
+def gaussian_pairs(L):
+    return np.random.default_rng(L).standard_normal((L, 2)).tolist()
+
+
+# each count just past 2**20 = 1,048,576, so a job the limit fails to stop costs seconds
+OVER_LIMIT = [
+    ("profile", {"L": 1025, "a": 1, "b": 1025, "g": gaussian_pairs(1025)}, 1025 * 1025),
+    ("dual", {"L": 1025, "a": 1, "b": 1, "g": gaussian_pairs(1025)}, 1024 * 1025),
+    ("make-tight", {"L": 2**20 + 2, "a": 2, "b": 1}, 2**20 + 2),
+]
+
+
+class TestOutputLimit:
+    @pytest.mark.parametrize("command,payload,count", OVER_LIMIT,
+                             ids=["profile", "dual", "make-tight"])
+    def test_just_past_the_limit_exits_2(self, tmp_path, capsys, command, payload, count):
+        path = write_input(tmp_path, "big.json", payload)
+        out_path = tmp_path / "out.json"
+        assert main([command, "--input", path, "--output", str(out_path)]) == 2
+        assert main([command, "--input", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not out_path.exists() and len(err.splitlines()) == 2
+        for line in err.splitlines():
+            message = json.loads(line)["error"]["message"]
+            assert command in message and str(count) in message
+            assert str(cli.MAX_OUTPUT_VALUES) in message
+
+    @pytest.mark.parametrize("command,payload,count", [
+        ("profile", {"L": 12, "a": 3, "b": 4, "g": gaussian_pairs(12)}, 4 * 12),
+        ("dual", {"L": 12, "a": 3, "b": 2, "g": gaussian_pairs(12)}, (12 - 6) * 12 // 3),
+        ("make-tight", {"L": 12, "a": 3, "b": 2}, 12),
+    ], ids=["profile", "dual", "make-tight"])
+    def test_the_limit_is_inclusive(self, tmp_path, capsys, monkeypatch, command, payload, count):
+        path = write_input(tmp_path, "small.json", payload)
+        monkeypatch.setattr(cli, "MAX_OUTPUT_VALUES", count)
+        assert main([command, "--input", path]) == 0
+        assert capsys.readouterr().out
+        monkeypatch.setattr(cli, "MAX_OUTPUT_VALUES", count - 1)
+        assert main([command, "--input", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"write {count} values" in json.loads(err)["error"]["message"]
+
+    def test_inputs_that_write_no_more_than_they_read_pass(self, tmp_path, capsys, monkeypatch):
+        # make-tight from phases, and every command outside the three, count nothing
+        monkeypatch.setattr(cli, "MAX_OUTPUT_VALUES", 0)
+        phases = write_input(tmp_path, "phases.json",
+                             {"L": 4, "a": 2, "b": 2, "phases": [[0.0, 0.0], [0.0, 0.0]]})
+        assert main(["make-tight", "--input", phases]) == 0
+        window = write_input(tmp_path, "g.json", {"L": 12, "a": 3, "b": 4, "g": gaussian_pairs(12)})
+        assert main(["bounds", "--input", window]) == 0
+        capsys.readouterr()
+
+    def test_child_process_refuses_before_allocating(self, tmp_path):
+        command, payload, _ = OVER_LIMIT[0]
+        path = write_input(tmp_path, "big.json", payload)
+        with open(tmp_path / "out", "w") as out, open(tmp_path / "err", "w") as err:
+            child = subprocess.Popen([sys.executable, "-m", "whframe", command, "--input", path],
+                                     stdout=out, stderr=err)
+            _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == 2
+        assert (tmp_path / "out").read_text() == ""
+        assert json.loads((tmp_path / "err").read_text())["error"]["type"] == "ValueError"
+        assert usage.ru_maxrss < 150 * 1024  # KiB on Linux
+
+
 class TestTolControls:
     def test_env_var_overrides_default(self, tmp_path, capsys, monkeypatch):
         # slightly off-tight window: fails at 1e-9, passes at 1e-2

@@ -1,6 +1,7 @@
 """The public surface is declared once: the package re-exports each module's
 __all__, every tol parameter defaults to frame.DEFAULT_TOL, only cli.py
-encodes reports, and the console script named in pyproject.toml resolves.
+encodes reports, the modules on the Zak kernel import nothing from each
+other, and the console script named in pyproject.toml resolves.
 """
 
 import ast
@@ -84,6 +85,31 @@ def test_only_the_cli_writes_reports():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 hits += [(path.name, node.lineno, alias.name) for alias in node.names
                          if alias.name.rsplit(".", 1)[-1] in ("asdict", "_pairs")]
+    assert hits == []
+
+
+def package_imports(path):
+    """(line, module, name) of every name a module imports from the package."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("whframe")):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            yield from ((node.lineno, module, alias.name) for alias in node.names)
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name, None) for alias in node.names
+                        if alias.name.startswith("whframe"))
+
+
+def test_modules_on_the_kernel_form_a_tree():
+    """correlation, tightness, duality and synthesis read frame, lattice and errors only,
+    and every private name crossing a module boundary is frame's."""
+    hits = []
+    for path in sorted((ROOT / "src" / "whframe").glob("*.py")):
+        leaf = path.stem in ("correlation", "tightness", "duality", "synthesis")
+        for line, module, name in package_imports(path):
+            private = name is not None and name.startswith("_")
+            outside = module not in ("frame", "lattice", "errors")
+            if (leaf and outside) or (private and module != "frame"):
+                hits.append((path.name, line, module, name))
     assert hits == []
 
 

@@ -11,12 +11,15 @@ from whframe import (
     classify,
     density_diagnostics,
     dft,
+    dual_conditions_walnut,
     fourier_dual_check,
     frame_bounds,
     norm_sq,
+    random_tight_generator,
+    wexler_raz_check,
 )
 from whframe.oracle import analysis_array
-from helpers import random_frame, random_lattice, random_signal, random_tight_instance
+from helpers import lattice_pool, random_frame, random_lattice, random_signal, random_tight_instance
 
 
 class TestConditionResiduals:
@@ -49,6 +52,24 @@ class TestConditionResiduals:
         r3 = check_cond_adjoint(lat, g)
         r4 = check_cond_orthogonal_system(lat, g)
         assert abs(r3 - r4) <= 1e-10
+
+    # over-dense, P = a/c > 1 and p, q_w >= 2 lattices are all in the pool
+    @pytest.mark.parametrize("lat", lattice_pool() + [GaborLattice(36, 4, 6),
+                                                      GaborLattice(60, 4, 10)],
+                             ids=lambda lat: f"{lat.L}-{lat.a}-{lat.b}")
+    def test_tightness_is_the_self_dual_case(self, lat):
+        # g is normalized tight iff it is its own dual: one residual kernel, bit for bit
+        rng = np.random.default_rng([lat.L, lat.a, lat.b])
+        windows = [random_signal(rng, lat.L)]
+        if lat.a * lat.b <= lat.L:
+            windows.append(random_tight_generator(lat, lat.L))
+        for g in windows:
+            report = classify(lat, g)
+            walnut = check_cond_walnut(lat, g)
+            assert walnut == dual_conditions_walnut(lat, g, g) == report.cond2_residual
+            adjoint = check_cond_adjoint(lat, g)
+            assert (adjoint == check_cond_orthogonal_system(lat, g) == wexler_raz_check(lat, g, g)
+                    == report.cond3_residual == report.cond4_residual)
 
     def test_fixed_point_fixtures(self, box, impulse):
         lat, g = box
