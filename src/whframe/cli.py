@@ -9,8 +9,11 @@ vectors as [re, im] pairs:
      "f": [[...], ...],                  # test signal (wh-identity)
      "phases": [[0.25, ...], ...]}       # a x b phase array (make-tight)
 
-Reports are encoded here alone: _report writes the library's result values,
-dataclasses field by field and complex values as the same [re, im] pairs.
+Reports are encoded here alone. Each _cmd_* handler returns (holds, values):
+its verdict and the library's result values as they are. run alone checks
+the fields _HANDLERS requires, puts the header first, encodes each value with
+_report (dataclasses field by field, complex values as the same [re, im]
+pairs), writes JSON as it is encoded and returns the exit code.
 
 Exit codes: 0 when the computation succeeds and the checked property
 holds, 1 when the property fails (not tight, not dual, not a frame), and
@@ -30,6 +33,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import islice
 from math import gcd
 
 import numpy as np
@@ -154,25 +158,20 @@ def _header(lat: GaborLattice) -> dict:
     }
 
 
-def _cmd_analyze(data: ParsedInput, config: JobConfig):
-    (g,) = _require(data, "g")
+def _cmd_analyze(data: ParsedInput, config: JobConfig, g):
     report = classify(data.lat, g, config.tol)
     # before norm_audit, which may analyze g on the adjoint lattice
-    density = _report(density_diagnostics(data.lat, g)) if report.is_frame else None
-    out = {
-        **_header(data.lat),
-        "tightness": _report(report),
-        "norm_audit": _report(norm_audit(data.lat, g, config.tol)),
+    density = density_diagnostics(data.lat, g) if report.is_frame else None
+    return report.is_frame, {
+        "tightness": report,
+        "norm_audit": norm_audit(data.lat, g, config.tol),
         "density_diagnostics": density,
     }
-    return (0 if report.is_frame else 1), out
 
 
-def _cmd_check_tight(data: ParsedInput, config: JobConfig):
-    (g,) = _require(data, "g")
+def _cmd_check_tight(data: ParsedInput, config: JobConfig, g):
     report = classify(data.lat, g, config.tol)
-    out = {**_header(data.lat), "tightness": _report(report)}
-    return (0 if report.normalized_tight else 1), out
+    return report.normalized_tight, {"tightness": report}
 
 
 def _cmd_make_tight(data: ParsedInput, config: JobConfig):
@@ -180,67 +179,56 @@ def _cmd_make_tight(data: ParsedInput, config: JobConfig):
         g = tight_generator_from_phases(PhaseSpec(data.lat, data.phases))
     else:
         g = random_tight_generator(data.lat, config.seed)
-    out = {
+    return True, {
         "L": data.lat.L, "a": data.lat.a, "b": data.lat.b,
-        "g": _report(g),
+        "g": g,
         "norm_sq": norm_sq(g),
         "constants": _header(data.lat)["constants"],
     }
-    return 0, out
 
 
-def _cmd_dual(data: ParsedInput, config: JobConfig):
-    (g,) = _require(data, "g")
+def _cmd_dual(data: ParsedInput, config: JobConfig, g):
     space = dual_space(data.lat, g)
-    out = {
-        **_header(data.lat),
-        "canonical_dual": _report(space.canonical_dual),
+    return True, {
+        "canonical_dual": space.canonical_dual,
         "dual_space": {"orbit_rank": space.orbit_rank, "dimension": space.dimension,
                        "complement_basis": [{"residue": s, "values": row} for s, rows in
                                             enumerate(_report(space.class_rows)) for row in rows]},
     }
-    return 0, out
 
 
-def _cmd_verify_dual(data: ParsedInput, config: JobConfig):
-    g, h = _require(data, "g", "h")
+def _cmd_verify_dual(data: ParsedInput, config: JobConfig, g, h):
     report = decompose_dual(data.lat, g, h, config.tol)
-    out = {**_header(data.lat), "dual_report": _report(report)}
-    return (0 if report.is_dual else 1), out
+    return report.is_dual, {"dual_report": report}
 
 
-def _cmd_wexler_raz(data: ParsedInput, config: JobConfig):
-    g, h = _require(data, "g", "h")
+def _cmd_wexler_raz(data: ParsedInput, config: JobConfig, g, h):
     residual = wexler_raz_check(data.lat, g, h)
-    out = {**_header(data.lat), "residual": residual, "is_dual": residual <= config.tol}
-    return (0 if out["is_dual"] else 1), out
+    is_dual = residual <= config.tol
+    return is_dual, {"residual": residual, "is_dual": is_dual}
 
 
-def _cmd_fourier_dual(data: ParsedInput, config: JobConfig):
-    (g,) = _require(data, "g")
+def _cmd_fourier_dual(data: ParsedInput, config: JobConfig, g):
     here = classify(data.lat, g, config.tol)
     swapped = data.lat.swapped()
     there = classify(swapped, dft(g), config.tol)
     agree = here.normalized_tight == there.normalized_tight
-    out = {
+    return agree, {
         "lattice": _lattice_dict(data.lat),
         "swapped_lattice": _lattice_dict(swapped),
-        "tightness": _report(here),
-        "swapped_tightness": _report(there),
+        "tightness": here,
+        "swapped_tightness": there,
         "agree": agree,
     }
-    return (0 if agree else 1), out
 
 
-def _cmd_wh_identity(data: ParsedInput, config: JobConfig):
-    g, f = _require(data, "g", "f")
+def _cmd_wh_identity(data: ParsedInput, config: JobConfig, g, f):
     energy = float(np.real(np.vdot(f, walnut_apply(data.lat, g, f))))
     f1, f2 = frame_energy_split(data.lat, g, f)  # analyzes f after g
     scale = 1.0 + norm_sq(f) * norm_sq(g)
     residual = abs(f1 + f2.real - energy)
     holds = residual <= config.tol * scale and abs(f2.imag) <= config.tol * scale
-    out = {
-        **_header(data.lat),
+    return holds, {
         "F1": f1,
         "F2": f2.real,
         "F2_imag": f2.imag,
@@ -248,41 +236,35 @@ def _cmd_wh_identity(data: ParsedInput, config: JobConfig):
         "identity_residual": residual,
         "holds": holds,
     }
-    return (0 if holds else 1), out
 
 
-def _cmd_bounds(data: ParsedInput, config: JobConfig):
-    (g,) = _require(data, "g")
-    out = {
-        **_header(data.lat),
-        "bounds": _report(frame_bounds(data.lat, g)),
-        "walnut_upper_bound": walnut_upper_bound(data.lat, g),
-    }
-    return 0, out
+def _cmd_bounds(data: ParsedInput, config: JobConfig, g):
+    return True, {"bounds": frame_bounds(data.lat, g),
+                  "walnut_upper_bound": walnut_upper_bound(data.lat, g)}
 
 
-def _cmd_profile(data: ParsedInput, config: JobConfig):
-    (g,) = _require(data, "g")
+def _cmd_profile(data: ParsedInput, config: JobConfig, g):
     # k-major rows of Python floats, -0.0 read as 0.0; a float's str is its shortest repr
     columns, table = ["k", "x", "re", "im", "abs"], correlation_profile(data.lat, g).table
     rows = [[k, x, v.real + 0.0, v.imag + 0.0, abs(v) + 0.0]
             for k, row in enumerate(table.tolist()) for x, v in enumerate(row)]
     if (config.format or "csv") == "csv":
-        return 0, "".join(",".join(map(str, row)) + "\n" for row in [columns, *rows])
-    return 0, {"columns": columns, "rows": rows}
+        return True, "".join(",".join(map(str, row)) + "\n" for row in [columns, *rows])
+    return True, {"columns": columns, "rows": rows}
 
 
+# command: (handler, the input fields it requires, whether its report opens with _header)
 _HANDLERS = {
-    "analyze": _cmd_analyze,
-    "check-tight": _cmd_check_tight,
-    "make-tight": _cmd_make_tight,
-    "dual": _cmd_dual,
-    "verify-dual": _cmd_verify_dual,
-    "wexler-raz": _cmd_wexler_raz,
-    "fourier-dual": _cmd_fourier_dual,
-    "wh-identity": _cmd_wh_identity,
-    "bounds": _cmd_bounds,
-    "profile": _cmd_profile,
+    "analyze": (_cmd_analyze, ("g",), True),
+    "check-tight": (_cmd_check_tight, ("g",), True),
+    "make-tight": (_cmd_make_tight, (), False),
+    "dual": (_cmd_dual, ("g",), True),
+    "verify-dual": (_cmd_verify_dual, ("g", "h"), True),
+    "wexler-raz": (_cmd_wexler_raz, ("g", "h"), True),
+    "fourier-dual": (_cmd_fourier_dual, ("g",), False),
+    "wh-identity": (_cmd_wh_identity, ("g", "f"), True),
+    "bounds": (_cmd_bounds, ("g",), True),
+    "profile": (_cmd_profile, ("g",), False),
 }
 
 COMMANDS = tuple(_HANDLERS)
@@ -299,15 +281,27 @@ def _check_output_size(command: str, data: ParsedInput) -> None:
                          f"{MAX_OUTPUT_VALUES}")
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_to(fh, payload) -> None:
+    """Text as it is; anything else as indented JSON, written 2**16 chunks at a time
+    as it is encoded, so no copy of the whole document is held."""
+    if isinstance(payload, str):
+        fh.write(payload)
+        return
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := "".join(islice(chunks, 2**16)):
+        fh.write(batch)
+    fh.write("\n")
+
+
+def _write_output(payload, path: str | None) -> None:
     if path is None:
-        sys.stdout.write(text)
+        _write_to(sys.stdout, payload)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".whframe-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_to(fh, payload)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -315,17 +309,21 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def run(config: JobConfig) -> int:
-    """Execute one job; returns the process exit code."""
+    """Execute one job and return its exit code. The one writer of reports: it checks
+    the required fields, puts the header first and encodes what the handler returns."""
     try:
         data = parse_signal_file(config.input_path)
         _check_output_size(config.command, data)
-        code, payload = _HANDLERS[config.command](data, config)
-        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
-        _write_output(text, config.output_path)  # a failed write is an I/O error too
+        handler, required, headed = _HANDLERS[config.command]
+        holds, values = handler(data, config, *_require(data, *required))
+        if not isinstance(values, str):  # else the profile CSV, written as it is
+            values = {**(_header(data.lat) if headed else {}),
+                      **{name: _report(value) for name, value in values.items()}}
+        _write_output(values, config.output_path)  # a failed write is an I/O error too
     except (ValueError, OSError, MemoryError) as e:  # whframe's errors are ValueErrors
         _emit_error(e)
         return 2
-    return code
+    return 0 if holds else 1
 
 
 def _emit_error(e: Exception) -> None:

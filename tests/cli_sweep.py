@@ -4,6 +4,14 @@ Refactors that must not move any report are checked by running the same
 inputs through two source trees and comparing exit codes and the SHA-256 of
 stdout and stderr per run:
 
+    python tests/cli_sweep.py against REV         # the working tree against git revision REV
+
+`against` does the steps below in a temporary directory, which it removes:
+it extracts REV's src/ and tests/cli_sweep.py with `git archive`, writes the
+inputs with REV's tool, runs the matrix on REV's src/ and on this tree's src/,
+each in a child process, and prints the compare (exit 1 if any run differs).
+The steps also run one by one:
+
     python tests/cli_sweep.py inputs DIR          # once, from the reference tree
     python tests/cli_sweep.py run SRC DIR OUT     # per tree: SRC is its src directory
     python tests/cli_sweep.py compare A B         # exit 1 if any run differs
@@ -28,7 +36,10 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +151,25 @@ def differences(a: list[dict], b: list[dict]) -> list[str]:
     return [k for k in sorted(left.keys() | right.keys()) if left.get(k) != right.get(k)]
 
 
+def against(rev: str) -> int:
+    """Sweep REV's src/ and this tree's src/ on inputs written by REV's tool; compare."""
+    root = Path(__file__).resolve().parents[1]
+    archive = subprocess.run(["git", "-C", str(root), "archive", rev, "src", "tests/cli_sweep.py"],
+                             check=True, capture_output=True).stdout
+    with tempfile.TemporaryDirectory(prefix="cli-sweep-") as tmp:
+        tmp = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "rev")
+        step = lambda *args: subprocess.run([sys.executable, *map(str, args)], check=True)
+        step(tmp / "rev" / "tests" / "cli_sweep.py", "inputs", tmp / "inputs")
+        for name, src in (("rev", tmp / "rev" / "src"), ("tree", root / "src")):
+            step(__file__, "run", src, tmp / "inputs", tmp / f"{name}.json")
+        return main(["compare", str(tmp / "rev.json"), str(tmp / "tree.json")])
+
+
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["against"] and len(argv) == 2:
+        return against(argv[1])
     if argv[:1] == ["inputs"] and len(argv) == 2:
         sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
         Path(argv[1]).mkdir(parents=True, exist_ok=True)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from math import gcd
 from pathlib import Path
@@ -196,7 +197,7 @@ class TestExitCodes:
         def exhausted(data, config):
             raise MemoryError("Unable to allocate 14.0 GiB")
 
-        monkeypatch.setitem(cli._HANDLERS, "bounds", exhausted)
+        monkeypatch.setitem(cli._HANDLERS, "bounds", (exhausted, (), True))
         assert main(["bounds", "--input", box_path]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -230,6 +231,29 @@ class TestExitCodes:
         assert out == ""
         assert all(json.loads(line)["error"]["type"] == "ValueError"
                    for line in err.splitlines())
+
+
+# the input fields each command requires; make-tight reads a bare lattice
+REQUIRED = {"analyze": "g", "check-tight": "g", "make-tight": "", "dual": "g",
+            "verify-dual": "gh", "wexler-raz": "gh", "fourier-dual": "g", "wh-identity": "gf",
+            "bounds": "g", "profile": "g"}
+
+
+@pytest.mark.parametrize("command", list(REQUIRED))
+def test_required_fields(tmp_path, capsys, command):
+    # the required fields alone make a job; without any one of them it exits 2
+    box = [[float(ROOT2_INV), 0], [float(ROOT2_INV), 0], [0, 0], [0, 0]]
+    signals = {"g": box, "h": box, "f": [[1, 0], [0, 2], [0, 0], [3, -1]]}
+    payload = {"L": 4, "a": 2, "b": 2, **{name: signals[name] for name in REQUIRED[command]}}
+    code = main([command, "--input", write_input(tmp_path, "in.json", payload)])
+    assert code in ((0,) if command == "make-tight" else (0, 1))
+    capsys.readouterr()
+    for field in REQUIRED[command]:
+        partial = {name: value for name, value in payload.items() if name != field}
+        assert main([command, "--input", write_input(tmp_path, "in.json", partial)]) == 2
+        out, err = capsys.readouterr()
+        error = json.loads(err)["error"]
+        assert out == "" and error["type"] == "ValueError" and repr(field) in error["message"]
 
 
 class TestReports:
@@ -469,6 +493,25 @@ class TestOutputLimit:
         assert (tmp_path / "out").read_text() == ""
         assert json.loads((tmp_path / "err").read_text())["error"]["type"] == "ValueError"
         assert usage.ru_maxrss < 150 * 1024  # KiB on Linux
+
+
+class TestStreamedOutput:
+    def test_dual_json_is_streamed(self, tmp_path):
+        # 57,600 basis pairs: encoded as one string first, the report took 499 B a
+        # pair of traced peak memory; written as it is encoded, about 234 B
+        L, a, b = 480, 2, 120
+        pairs = (L - a * b) * L // gcd(a, GaborLattice(L, a, b).M)
+        path = write_input(tmp_path, "g.json", {"L": L, "a": a, "b": b, "g": gaussian_pairs(L)})
+        out_path = tmp_path / "dual.json"
+        tracemalloc.start()
+        try:
+            assert main(["dual", "--input", path, "--output", str(out_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pairs == 57_600 and peak < 350 * pairs
+        text = out_path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 class TestTolControls:

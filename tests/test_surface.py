@@ -1,7 +1,8 @@
 """The public surface is declared once: the package re-exports each module's
 __all__, every tol parameter defaults to frame.DEFAULT_TOL, only cli.py
-encodes reports, the modules on the Zak kernel import nothing from each
-other, and the console script named in pyproject.toml resolves.
+encodes reports and its run alone writes their envelope, the modules on the
+Zak kernel import nothing from each other, and the console script named in
+pyproject.toml resolves.
 """
 
 import ast
@@ -86,6 +87,23 @@ def test_only_the_cli_writes_reports():
                 hits += [(path.name, node.lineno, alias.name) for alias in node.names
                          if alias.name.rsplit(".", 1)[-1] in ("asdict", "_pairs")]
     assert hits == []
+
+
+def test_run_alone_writes_the_report_envelope():
+    """In cli.py, run alone checks the required fields, adds the header, encodes the
+    values and holds the one `0 if ... else 1`; _cmd_make_tight also reads _header for
+    its constants, _cmd_dual _report for its nested rows, and _report recurses."""
+    allowed = {"_require": {"run"}, "_header": {"run", "_cmd_make_tight"},
+               "_report": {"run", "_cmd_dual", "_report"}}
+    hits, exits = [], []
+    for top in ast.parse((ROOT / "src" / "whframe" / "cli.py").read_text(encoding="utf-8")).body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and scope not in allowed.get(node.id, {scope}):
+                hits.append((scope, node.lineno, node.id))
+            if isinstance(node, ast.IfExp) and ast.unparse(node).startswith("0 if "):
+                exits.append(scope)
+    assert hits == [] and exits == ["run"]
 
 
 def package_imports(path):
