@@ -10,14 +10,18 @@ vectors as [re, im] pairs:
      "phases": [[0.25, ...], ...]}       # a x b phase array (make-tight)
 
 Reports are encoded here alone. Each _cmd_* handler returns (holds, values):
-its verdict and the library's result values as they are. run alone checks
-the fields _HANDLERS requires, puts the header first, encodes each value with
-_report (dataclasses field by field, complex values as the same [re, im]
-pairs), writes JSON as it is encoded and returns the exit code.
+its verdict and the library's result values as they are, or profile's CSV
+lines. run alone checks the fields _HANDLERS requires, calls the handler with
+numpy's overflow and invalid-value flags raising, puts the header first,
+encodes each value with _report (dataclasses field by field, complex values
+as the same [re, im] pairs) and returns the exit code. Either report is one
+stream of text chunks, JSON as it is encoded or CSV one table row at a time;
+_write_to only writes it.
 
 Exit codes: 0 when the computation succeeds and the checked property
 holds, 1 when the property fails (not tight, not dual, not a frame), and
-2 for input or usage errors, reported as a JSON object on stderr.
+2 for input or usage errors and for results that overflow (no report holds
+NaN or Infinity), reported as a JSON object on stderr.
 Three commands write more than they read: profile b*L rows, dual (L - a*b)*L/c basis
 pairs (c = gcd(a, M)), make-tight without phases L pairs. A job whose count, read off
 (L, a, b) before any work, passes MAX_OUTPUT_VALUES exits 2 and writes nothing.
@@ -33,7 +37,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields, is_dataclass
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 
 import numpy as np
@@ -246,11 +250,11 @@ def _cmd_bounds(data: ParsedInput, config: JobConfig, g):
 def _cmd_profile(data: ParsedInput, config: JobConfig, g):
     # k-major rows of Python floats, -0.0 read as 0.0; a float's str is its shortest repr
     columns, table = ["k", "x", "re", "im", "abs"], correlation_profile(data.lat, g).table
-    rows = [[k, x, v.real + 0.0, v.imag + 0.0, abs(v) + 0.0]
-            for k, row in enumerate(table.tolist()) for x, v in enumerate(row)]
-    if (config.format or "csv") == "csv":
-        return True, "".join(",".join(map(str, row)) + "\n" for row in [columns, *rows])
-    return True, {"columns": columns, "rows": rows}
+    rows = ([k, x, v.real + 0.0, v.imag + 0.0, abs(v) + 0.0]
+            for k in range(len(table)) for x, v in enumerate(table[k].tolist()))
+    if (config.format or "csv") == "csv":  # lines, formatted one table row at a time
+        return True, (",".join(map(str, row)) + "\n" for row in chain([columns], rows))
+    return True, {"columns": columns, "rows": list(rows)}
 
 
 # command: (handler, the input fields it requires, whether its report opens with _header)
@@ -281,27 +285,21 @@ def _check_output_size(command: str, data: ParsedInput) -> None:
                          f"{MAX_OUTPUT_VALUES}")
 
 
-def _write_to(fh, payload) -> None:
-    """Text as it is; anything else as indented JSON, written 2**16 chunks at a time
-    as it is encoded, so no copy of the whole document is held."""
-    if isinstance(payload, str):
-        fh.write(payload)
-        return
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+def _write_to(fh, chunks) -> None:
+    """Write an iterator of text chunks, 2**16 per write: no whole report is held."""
     while batch := "".join(islice(chunks, 2**16)):
         fh.write(batch)
-    fh.write("\n")
 
 
-def _write_output(payload, path: str | None) -> None:
+def _write_output(chunks, path: str | None) -> None:
     if path is None:
-        _write_to(sys.stdout, payload)
+        _write_to(sys.stdout, chunks)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".whframe-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            _write_to(fh, payload)
+            _write_to(fh, chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -315,12 +313,14 @@ def run(config: JobConfig) -> int:
         data = parse_signal_file(config.input_path)
         _check_output_size(config.command, data)
         handler, required, headed = _HANDLERS[config.command]
-        holds, values = handler(data, config, *_require(data, *required))
-        if not isinstance(values, str):  # else the profile CSV, written as it is
-            values = {**(_header(data.lat) if headed else {}),
+        with np.errstate(over="raise", invalid="raise"):  # a non-finite result is an error
+            holds, values = handler(data, config, *_require(data, *required))
+        if isinstance(values, dict):  # else the profile CSV, already lines
+            report = {**(_header(data.lat) if headed else {}),
                       **{name: _report(value) for name, value in values.items()}}
+            values = chain(json.JSONEncoder(indent=2, allow_nan=False).iterencode(report), ["\n"])
         _write_output(values, config.output_path)  # a failed write is an I/O error too
-    except (ValueError, OSError, MemoryError) as e:  # whframe's errors are ValueErrors
+    except (ValueError, FloatingPointError, OSError, MemoryError) as e:  # whframe raises ValueError
         _emit_error(e)
         return 2
     return 0 if holds else 1

@@ -204,6 +204,15 @@ class TestExitCodes:
         assert json.loads(err) == {
             "error": {"type": "MemoryError", "message": "Unable to allocate 14.0 GiB"}}
 
+    def test_non_finite_values_are_never_written(self, box_path, capsys, monkeypatch):
+        def not_a_number(data, config):
+            return True, {"A": float("nan")}
+
+        monkeypatch.setitem(cli._HANDLERS, "bounds", (not_a_number, (), True))
+        assert main(["bounds", "--input", box_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"]["type"] == "ValueError"
+
     @pytest.mark.parametrize("target", ["missing/dir/out.json", "existing-dir", ""])
     def test_failed_output_write_exits_2(self, box_path, tmp_path, capsys, monkeypatch, target):
         # a write failure is an I/O error (exit 2), not a failed property (exit 1)
@@ -231,6 +240,23 @@ class TestExitCodes:
         assert out == ""
         assert all(json.loads(line)["error"]["type"] == "ValueError"
                    for line in err.splitlines())
+
+    @pytest.mark.parametrize("scale", [1e102, 1e154])
+    @pytest.mark.parametrize("command", ["check-tight", "analyze", "bounds", "profile"])
+    def test_overflowing_results_exit_2(self, tmp_path, capsys, command, scale):
+        # finite windows whose results overflow: S g grows like ||g||^3, so at 1e102
+        # classify's cond5_residual is NaN and at 1e154 every bound and the profile are
+        L = 48
+        g = (np.array(gaussian_pairs(L)) * scale).tolist()
+        path = write_input(tmp_path, "g.json", {"L": L, "a": 4, "b": 6, "g": g})
+        code = main([command, "--input", path])
+        out, err = capsys.readouterr()
+        if scale == 1e102 and command in ("bounds", "profile"):  # finite: a report, no error
+            assert code == 0 and out and err == ""
+            assert not re.search(r"nan|inf", out, re.IGNORECASE)
+            return
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["type"] == "FloatingPointError"
 
 
 # the input fields each command requires; make-tight reads a bare lattice
@@ -512,6 +538,31 @@ class TestStreamedOutput:
         assert pairs == 57_600 and peak < 350 * pairs
         text = out_path.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_profile_csv_is_streamed(self, tmp_path, capsys):
+        # 230,400 rows: held as a row list and then as one string, the CSV took 392 B a
+        # row of traced peak memory; formatted one table row at a time as it is written, 87
+        small = write_input(tmp_path, "small.json",
+                            {"L": 120, "a": 1, "b": 120, "g": gaussian_pairs(120)})
+        L, a, b = 480, 2, 480
+        path = write_input(tmp_path, "g.json", {"L": L, "a": a, "b": b, "g": gaussian_pairs(L)})
+        out_path = tmp_path / "profile.out"
+        # a warm-up call keeps imports and caches out of the traced peak
+        assert main(["profile", "--input", small, "--output", str(out_path)]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["profile", "--input", path, "--output", str(out_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert b * L == 230_400 and peak < 150 * b * L
+        # the --output file is stdout, byte for byte, in both formats
+        assert main(["profile", "--input", path]) == 0
+        assert capsys.readouterr().out == out_path.read_text()
+        json_argv = ["profile", "--input", small, "--format", "json"]
+        assert main([*json_argv, "--output", str(out_path)]) == 0
+        assert main(json_argv) == 0
+        assert capsys.readouterr().out == out_path.read_text()
 
 
 class TestTolControls:
