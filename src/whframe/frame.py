@@ -6,9 +6,9 @@ small blocks (Zibulski-Zeevi 1997, in Strohmer's finite form): with the
 density a*b/L = p/q_w in lowest terms, c = gcd(a, M) and d = gcd(b, N),
 _forward(lat, f) gathers the unitary length-L/c DFTs of the c residue classes f(e + c*t)
 by one permutation W into c*d blocks Z_f of shape p x q_w, undone by _inverse(lat, Z), and
-S acts on every block as Z_f -> (L/p) * Z_g Z_g^H Z_f. One batched
-eigh of the smaller Gram blocks gives the bounds and, for frames, each
-block's thin SVD U Sigma V^H, with sigma read as row norms of U^H Z_g
+S acts on every block as Z_f -> (L/p) * Z_g Z_g^H Z_f. One batched eigh of the
+smaller Gram blocks, taken when the analysis is built, gives the bounds and, for frames,
+each block's thin SVD U Sigma V^H, with sigma read as row norms of U^H Z_g
 (to eps*kappa; the eigenvalues hold sigma^2 only to eps*kappa^2) for S^-1 g,
 polished by one Newton-Schulz step, the polar factor S^-1/2 g
 (Janssen-Strohmer 2002) and V, whose p Householder reflectors per block
@@ -17,11 +17,15 @@ take no eigh and no Newton-Schulz step (Strohmer 1998). O(L log L) time, O(L) me
 S commutes with every lattice operator, so S^-1 g and S^-1/2 g generate Weyl-Heisenberg
 systems again. Reconstruction, sum <f, h_mn> g_mn, acts on the blocks as
 Z_f -> (L/p) * Z_g Z_h^H Z_f. Every tightness and dual certificate reads the
-period-a Walnut table of (h, g): a fixed gather of the blocks Z_h Z_g^H, a length-b
-DFT and, when a/c > 1, a length-a/c inverse DFT. Its columns' length-a DFTs are the
-adjoint products <h, E_{kp} T_{lq} g> (Janssen), on the adjoint lattice the Gabor coefficients.
-gap, the table less b/L at k = 0, is zero iff h is a dual of g (at h = g, iff S = I), and
-residuals reads the Wexler-Raz and Walnut residuals off it, for tightness and duality alike.
+period-a Walnut table of (h, g): a fixed gather of the blocks Z_h Z_g^H (none when
+a/c = 1), a length-b DFT and, when a/c > 1, a length-a/c inverse DFT. Its columns'
+length-a DFTs are the adjoint products <h, E_{kp} T_{lq} g> (Janssen), on the adjoint
+lattice the Gabor coefficients. gap, the table less b/L at k = 0, is zero iff h is a dual
+of g (at h = g, iff S = I), and residuals reads the Wexler-Raz and Walnut residuals off it,
+for tightness and duality alike. These Walnut-side DFTs of length n <= SHORT_DFT = 32 are
+one product with a cached matrix of numpy's own twiddles (_dft): the product is the faster
+up to n = 48 on n x n tables and to about n = 24 on tables of 960 to 1920 columns (a shared
+2-CPU x86-64 VM, numpy 2.4, one BLAS thread). The Zak pair stays on np.fft.
 
 Near-singular operators are rejected rather than inverted: one gate,
 A > FRAME_FLOOR * B, decides "frame" everywhere in the package.
@@ -29,7 +33,10 @@ A > FRAME_FLOOR * B, decides "frame" everywhere in the package.
 Every entry point reads its analysis from a one-entry cache keyed by the
 lattice and the bytes of the window after as_signal, so calls on one window
 share one block FFT, at most one eigh and one S^-1 g (only 1.2% of dual-design and 3.4%
-of verdict-ladder benchmark ops find the previous op's window). Its g is a
+of verdict-ladder benchmark ops find the previous op's window). An analysis builds its
+spectrum (Gram blocks, eigenvalues, bounds) up front and the rest on first use, so
+wexler_raz_check, dual_conditions_walnut, reconstruct and walnut_apply, which never read
+the spectrum, take its batched eigh too when min(p, q_w) >= 2. The analysis's g is a
 read-only copy of those bytes, its Z and S^-1 g are read-only, public functions
 return fresh arrays, and the entry stays resident, null(Z_g) reflectors included.
 """
@@ -63,6 +70,8 @@ __all__ = [
 FRAME_FLOOR = 1e-10
 # Default tolerance of every verdict and certificate, and of the CLI's --tol.
 DEFAULT_TOL = 1e-9
+# Longest Walnut-side DFT taken as a matrix product (_dft); longer ones call np.fft.
+SHORT_DFT = 32
 
 
 @dataclass(frozen=True)
@@ -122,6 +131,10 @@ def _forward(lat: GaborLattice, f: np.ndarray) -> np.ndarray:
 def _inverse(lat: GaborLattice, Z: np.ndarray) -> np.ndarray:
     """The signals whose Zak blocks are Z, shape (..., c, d, p, q_w)."""
     c, W = _zak_layout(lat)
+    if Z.ndim == 4:  # one signal: the batched scatter's ellipsis and reshape cost more
+        spectra = np.empty((c, lat.L // c), dtype=np.complex128)
+        spectra[:, W] = Z
+        return np.fft.ifft(spectra, norm="ortho").T.ravel()
     batch = Z.shape[:-4]
     spectra = np.empty((*batch, c, lat.L // c), dtype=np.complex128)
     spectra[..., W] = Z
@@ -132,7 +145,8 @@ def _inverse(lat: GaborLattice, Z: np.ndarray) -> np.ndarray:
 def _walnut_layout(lat: GaborLattice) -> np.ndarray:
     """Flat indices into each cross-Gram block X[e], shape (P, b), P = b/d = a/c: Hk[l][e + c*m]
     is the DFT over l' at l, then inverse DFT over j at m, of X[e, u, i, (i + j*q_w) mod P],
-    (i, u) = divmod(l' - j*N mod b, d). Not in _zak_layout: it holds a*b/c indices."""
+    (i, u) = divmod(l' - j*N mod b, d). The identity at P = 1, where walnut skips it; not
+    in _zak_layout: it holds a*b/c indices."""
     d, P, q_w = _zak_layout(lat)[1].shape
     j = np.arange(P)[:, None]
     i, u = np.divmod((np.arange(lat.b) - lat.N * j) % lat.b, d)
@@ -141,35 +155,45 @@ def _walnut_layout(lat: GaborLattice) -> np.ndarray:
     return flat
 
 
+@lru_cache(maxsize=None)  # n <= SHORT_DFT: 2 * SHORT_DFT matrices, 0.4 MB, at most
+def _dft_matrix(n: int, inverse: bool) -> np.ndarray:
+    """numpy's own length-n DFT (inverse: IDFT) of each unit vector e_j as row j, read-only,
+    so every entry is numpy's twiddle, exact for n <= 4."""
+    F = (np.fft.ifft if inverse else np.fft.fft)(np.eye(n), axis=1)
+    F.flags.writeable = False
+    return F
+
+
+def _dft(x: np.ndarray, axis: int = -1, inverse: bool = False) -> np.ndarray:
+    """The DFT (inverse: IDFT) of x over axis -1 or -2: np.fft above SHORT_DFT, else
+    one product with the cached matrix, which costs less than numpy's FFT call."""
+    n = x.shape[axis]
+    if n > SHORT_DFT:
+        return (np.fft.ifft if inverse else np.fft.fft)(x, axis=axis)
+    F = _dft_matrix(n, inverse)
+    return x @ F if axis == -1 else F.T @ x
+
+
 class _FrameAnalysis:
     """The Zak blocks of one (lattice, window) pair, shape (c, d, p, q_w), of a
-    checked signal g. Every frame quantity of the window reads them and one
-    batched eigh of the smaller Gram blocks (none when they are 1 x 1), computed on first use."""
+    checked signal g, and their spectrum. Every frame quantity of the window reads them and
+    one batched eigh of the smaller Gram blocks (none when they are 1 x 1), taken up front;
+    rows, V, null and dual are computed on first use."""
 
     def __init__(self, lat: GaborLattice, g: np.ndarray):
         self.lat, self.g, self.Z = lat, g, _forward(lat, g)
         self.Z.flags.writeable = False
         p, q_w = self.Z.shape[2:]
         self.scale, self.wide = lat.L / p, p <= q_w  # wide: density <= 1
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """The smaller Gram blocks: Z_g Z_g^H when wide, else Z_g^H Z_g."""
-        return self.Z @ _ct(self.Z) if self.wide else _ct(self.Z) @ self.Z
-
-    @cached_property
-    def eig(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Eigenvalues (ascending) and eigenvectors U of the Gram blocks; 1 x 1: no U, no eigh."""
-        if self.gram.shape[-1] == 1:
-            return self.gram.real[..., 0], None
-        return np.linalg.eigh(self.gram)
-
-    @cached_property
-    def bounds(self) -> FrameBounds:
-        """Extreme block eigenvalues of S; A = 0 when p > q_w (rank at most q_w)."""
+        # the smaller Gram blocks, Z_g Z_g^H when wide, else Z_g^H Z_g; their eigenvalues
+        # (ascending) and eigenvectors U, no U and no eigh when 1 x 1; the extreme block
+        # eigenvalues of S, A = 0 when p > q_w (rank at most q_w)
+        self.gram = self.Z @ _ct(self.Z) if self.wide else _ct(self.Z) @ self.Z
+        self.eig = ((self.gram.real[..., 0], None) if self.gram.shape[-1] == 1
+                    else np.linalg.eigh(self.gram))
         w = self.eig[0]
         A = max(float(self.scale * w[..., 0].min()), 0.0) if self.wide else 0.0
-        return FrameBounds(A=A, B=max(float(self.scale * w[..., -1].max()), 0.0))
+        self.bounds = FrameBounds(A=A, B=max(float(self.scale * w[..., -1].max()), 0.0))
 
     @cached_property
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +209,8 @@ class _FrameAnalysis:
         Zf = self.Z if f is None else _forward(self.lat, as_signal(f, self.lat.L))
         ZhH = None if h is None else _ct(_forward(self.lat, as_signal(h, self.lat.L)))
         if self.wide:
-            return _inverse(self.lat, self.scale * (self.gram if h is None else self.Z @ ZhH) @ Zf)
+            G = self.gram if h is None else self.Z @ ZhH
+            return _inverse(self.lat, self.scale * (G * Zf if G.shape[-1] == 1 else G @ Zf))
         return _inverse(self.lat, self.scale * self.Z @ ((_ct(self.Z) if h is None else ZhH) @ Zf))
 
     def walnut(self, Zh: np.ndarray | None = None) -> np.ndarray:
@@ -194,9 +219,10 @@ class _FrameAnalysis:
         cross-Gram blocks Z_h Z_g^H; see _walnut_layout."""
         T = (self.gram if Zh is None and self.wide else
              (self.Z if Zh is None else Zh) @ _ct(self.Z)).reshape(self.Z.shape[0], -1)
-        T = np.fft.fft(T[:, _walnut_layout(self.lat)], axis=2)
-        if T.shape[1] > 1:  # P > 1: inverse DFT over j, then s = e + c*m
-            T = np.fft.ifft(T, axis=1).swapaxes(0, 1)
+        if self.Z.shape[-2] > 1:  # P > 1: gather, DFT over l', inverse DFT over j, s = e + c*m
+            T = _dft(_dft(T[:, _walnut_layout(self.lat)]), axis=-2, inverse=True).swapaxes(0, 1)
+        else:  # the gather is the identity
+            T = _dft(T)
         return T.reshape(self.lat.a, self.lat.b)
 
     def gap(self, Zh: np.ndarray | None = None) -> np.ndarray:
@@ -209,11 +235,11 @@ class _FrameAnalysis:
         """The Wexler-Raz and Walnut residuals of h (h = g by default): the largest moduli
         of gap's column DFTs (the adjoint products less a*b/L at (0, 0)) and of gap."""
         gap = self.gap(Zh)
-        return float(np.abs(np.fft.fft(gap, axis=0)).max()), float(np.abs(gap).max())
+        return float(np.abs(_dft(gap, axis=-2)).max()), float(np.abs(gap).max())
 
     def products(self, Zh: np.ndarray | None = None) -> np.ndarray:
         """The adjoint products <h, E_{kp} T_{lq} g>, shape (a, b): walnut(Zh)'s column DFTs."""
-        return np.fft.fft(self.walnut(Zh), axis=0)
+        return _dft(self.walnut(Zh), axis=-2)
 
     @cached_property
     def V(self) -> np.ndarray:

@@ -150,4 +150,4 @@ def inner(s1: np.ndarray, s2: np.ndarray) -> complex:
 
 def norm_sq(s: np.ndarray) -> float:
     """Squared Euclidean norm."""
-    return float(np.real(np.vdot(s, s)))
+    return float(np.vdot(s, s).real)

@@ -25,8 +25,10 @@ calls cli.main in process on every file with each of the 14 argument lists in
 VARIANTS, 1,134 runs, after checking that whframe was imported from SRC, and
 writes them to OUT with the SHA-256 of SRC/whframe/*.py. `compare` prints both
 hashes and warns when they are equal: two runs of one source tree show nothing
-about a change. Pytest does not collect this file;
-test_cli.py::test_cli_sweep_on_the_fixtures runs the matrix on the fixtures.
+about a change. It lists the runs that differ and counts those whose exit code
+changed apart from those that differ only in the bytes of stdout or stderr.
+Pytest does not collect this file; test_cli.py::test_cli_sweep_on_the_fixtures
+runs the matrix on the fixtures.
 """
 
 from __future__ import annotations
@@ -144,11 +146,13 @@ def package_digest(package: Path) -> str:
     return digest.hexdigest()
 
 
-def differences(a: list[dict], b: list[dict]) -> list[str]:
-    """The runs whose exit code, stdout or stderr differ, or that only one side has."""
+def differences(a: list[dict], b: list[dict], fields=("exit", "stdout", "stderr")) -> list[str]:
+    """The runs that differ in any of fields (by default exit code, stdout and stderr), or
+    that only one side has."""
     key = lambda r: f"{r['input']} {' '.join(r['args'])}"
     left, right = {key(r): r for r in a}, {key(r): r for r in b}
-    return [k for k in sorted(left.keys() | right.keys()) if left.get(k) != right.get(k)]
+    return [k for k in sorted(left.keys() | right.keys())
+            if k not in left or k not in right or any(left[k][f] != right[k][f] for f in fields)]
 
 
 def against(rev: str) -> int:
@@ -196,8 +200,9 @@ def main(argv: list[str]) -> int:
         if a["sha256"] == b["sha256"]:
             print("A and B ran the same source: this compare shows nothing about a change")
         a, b = a["runs"], b["runs"]
-        diff = differences(a, b)
-        print("\n".join(diff + [f"{len(diff)} of {max(len(a), len(b))} runs differ"]))
+        diff, exits = differences(a, b), differences(a, b, ("exit",))
+        print("\n".join(diff + [f"{len(diff)} of {max(len(a), len(b))} runs differ: {len(exits)} "
+                                f"in exit code, {len(diff) - len(exits)} in bytes only"]))
         return 1 if diff else 0
     print(__doc__, file=sys.stderr)
     return 2

@@ -508,17 +508,23 @@ class TestOutputLimit:
         capsys.readouterr()
 
     def test_child_process_refuses_before_allocating(self, tmp_path):
+        # Linux carries a launcher's peak RSS into its child across fork and exec, so the
+        # job is spawned by a fresh, small python -c process, not by pytest, whose own
+        # peak would count too; the launcher writes the job's exit code and ru_maxrss
         command, payload, _ = OVER_LIMIT[0]
         path = write_input(tmp_path, "big.json", payload)
+        launcher = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[2:]); "
+                    "_, status, usage = os.wait4(child.pid, 0); open(sys.argv[1], 'w').write("
+                    "f'{os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}')")
         with open(tmp_path / "out", "w") as out, open(tmp_path / "err", "w") as err:
-            child = subprocess.Popen([sys.executable, "-m", "whframe", command, "--input", path],
-                                     stdout=out, stderr=err)
-            _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
-        assert child.returncode == 2
+            subprocess.run([sys.executable, "-c", launcher, tmp_path / "usage",
+                            sys.executable, "-m", "whframe", command, "--input", path],
+                           stdout=out, stderr=err, check=True)
+        returncode, maxrss = map(int, (tmp_path / "usage").read_text().split())
+        assert returncode == 2
         assert (tmp_path / "out").read_text() == ""
         assert json.loads((tmp_path / "err").read_text())["error"]["type"] == "ValueError"
-        assert usage.ru_maxrss < 150 * 1024  # KiB on Linux
+        assert maxrss < 150 * 1024  # KiB on Linux
 
 
 class TestStreamedOutput:
@@ -716,3 +722,6 @@ def test_cli_sweep_on_the_fixtures(tmp_path):
                      "impulse": "11022202000012"}
     assert cli_sweep.differences(records, cli_sweep.run_matrix(tmp_path)) == []
     assert cli_sweep.differences(records, records[1:]) == ["box.json analyze"]
+    changed = [dict(records[0], stdout="0" * 64), dict(records[1], exit=1), *records[2:]]
+    assert cli_sweep.differences(records, changed) == ["box.json analyze", "box.json check-tight"]
+    assert cli_sweep.differences(records, changed, ("exit",)) == ["box.json check-tight"]

@@ -181,49 +181,90 @@ def builds(monkeypatch):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Names of the np.fft.fft, np.fft.ifft and np.linalg.eigh calls made, the
-    analysis cache cleared."""
+    """Names of the np.fft.fft, np.fft.ifft and np.linalg.eigh calls made and of the
+    matrix-route DFTs ("matrix": frame._dft at lengths up to SHORT_DFT), the analysis
+    cache cleared. Every DFT matrix is built first, so no build counts as a call."""
     frame._cached_analysis.cache_clear()
+    for n in range(1, frame.SHORT_DFT + 1):
+        for inverse in (False, True):
+            frame._dft_matrix(n, inverse)
     seen = []
     for module, name in ((np.fft, "fft"), (np.fft, "ifft"), (np.linalg, "eigh")):
         def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
             seen.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
+
+    def counting_dft(x, axis=-1, inverse=False, _fn=frame._dft):
+        if x.shape[axis] <= frame.SHORT_DFT:
+            seen.append("matrix")
+        return _fn(x, axis, inverse)
+
+    monkeypatch.setattr(frame, "_dft", counting_dft)
     return seen
 
 
-@pytest.mark.parametrize("call,shape,count", [
-    # P = 1 on (48, 4, 6): the Walnut table is one length-b FFT of the cross-Gram
-    # blocks, and the Wexler-Raz residual one length-a FFT of the table, which
-    # the walnut residual does without
-    (lambda lat, g, h: classify(lat, g), (48, 4, 6), 4),
-    (wexler_raz_check, (48, 4, 6), 4),
-    (dual_conditions_walnut, (48, 4, 6), 3),
-    (decompose_dual, (48, 4, 6), 5),
-    (lambda lat, g, h: correlation.walnut_upper_bound(lat, g), (48, 4, 6), 2),
-    (lambda lat, g, h: frame.frame_operator(lat, g), (48, 4, 6), 2),
-    (correlation.frame_energy_split, (48, 4, 6), 4),
-    (lambda lat, g, h: classify(lat, g), (36, 4, 6), 5),  # P = 2: one length-P inverse DFT
+@pytest.mark.parametrize("call,shape,count,ffts", [
+    # count is every transform, ffts the np.fft calls among them. P = 1 on (48, 4, 6):
+    # the Walnut table is one length-b DFT of the cross-Gram blocks, and the Wexler-Raz
+    # residual one length-a DFT of the table, which the walnut residual does without;
+    # both are matrix products (b, a <= SHORT_DFT), so only the Zak pair calls np.fft
+    (lambda lat, g, h: classify(lat, g), (48, 4, 6), 4, 2),
+    (wexler_raz_check, (48, 4, 6), 4, 2),
+    (dual_conditions_walnut, (48, 4, 6), 3, 2),
+    (decompose_dual, (48, 4, 6), 5, 3),
+    (lambda lat, g, h: correlation.walnut_upper_bound(lat, g), (48, 4, 6), 2, 1),
+    (lambda lat, g, h: frame.frame_operator(lat, g), (48, 4, 6), 2, 1),
+    (correlation.frame_energy_split, (48, 4, 6), 4, 2),
+    (lambda lat, g, h: classify(lat, g), (36, 4, 6), 5, 2),  # P = 2: one length-P inverse DFT
     # the phase API is one inverse or one forward block transform at a*b = L
     (lambda lat, g, h: tight_generator_from_phases(PhaseSpec(lat, g.real.reshape(3, 4))),
-     (12, 3, 4), 1),
+     (12, 3, 4), 1, 1),
     (lambda lat, g, h: phases_from_tight_generator(lat, np.repeat([1.0, 0.0], [3, 9]) / np.sqrt(3)),
-     (12, 3, 4), 1),
+     (12, 3, 4), 1, 1),
     # the block FFT of g, and one inverse per signal out; one forward per extra window in
-    (lambda lat, g, h: tighten(lat, g), (48, 4, 6), 2),
-    (lambda lat, g, h: canonical_dual(lat, g), (48, 4, 6), 2),
-    (lambda lat, g, h: reconstruct(lat, g, h, g + h), (48, 4, 6), 4),
-    (walnut_apply, (48, 4, 6), 3),
+    (lambda lat, g, h: tighten(lat, g), (48, 4, 6), 2, 2),
+    (lambda lat, g, h: canonical_dual(lat, g), (48, 4, 6), 2, 2),
+    (lambda lat, g, h: reconstruct(lat, g, h, g + h), (48, 4, 6), 4, 4),
+    (walnut_apply, (48, 4, 6), 3, 3),
 ], ids=["classify", "wexler_raz_check", "dual_conditions_walnut", "decompose_dual",
         "walnut_upper_bound", "frame_operator", "frame_energy_split", "classify-P2",
         "tight_generator_from_phases", "phases_from_tight_generator", "tighten",
         "canonical_dual", "reconstruct", "walnut_apply"])
-def test_transform_count(calls, call, shape, count):
+def test_transform_count(calls, call, shape, count, ffts):
     lat = GaborLattice(*shape)
     rng = np.random.default_rng(22)
     call(lat, random_signal(rng, lat.L), random_signal(rng, lat.L))
     assert len(calls) - calls.count("eigh") == count
+    assert calls.count("fft") + calls.count("ifft") == ffts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 32])
+def test_matrix_dft_is_numpy_fft(n):
+    # the matrix route, both axes and both directions, to a few eps of np.fft
+    x = random_signal(np.random.default_rng(n), 3 * n * n).reshape(3, n, n)
+    for inverse, fft in ((False, np.fft.fft), (True, np.fft.ifft)):
+        for axis in (-1, -2):
+            exact = fft(x, axis=axis)
+            error = np.max(np.abs(frame._dft(x, axis, inverse) - exact))
+            assert error <= 4 * np.finfo(float).eps * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("shape", [(36, 4, 6), (48, 8, 12), (96, 2, 48), (128, 64, 2)],
+                         ids=["P2", "P2-over-dense", "b-48", "a-64"])
+def test_walnut_side_is_the_same_on_either_route(monkeypatch, shape):
+    # P > 1 takes the length-P inverse DFT too; b = 48 and a = 64 exceed SHORT_DFT,
+    # so np.fft there and the matrix route on the other length
+    lat = GaborLattice(*shape)
+    rng = np.random.default_rng(27)
+    g, h = random_signal(rng, lat.L), random_signal(rng, lat.L)
+    analysis = _FrameAnalysis(lat, g)
+    routes = []
+    for short in (frame.SHORT_DFT, 0, 64):  # as shipped, all np.fft, all matrices
+        monkeypatch.setattr(frame, "SHORT_DFT", short)
+        routes.append(analysis.products(_forward(lat, h)))
+    for table in routes[1:]:
+        assert np.max(np.abs(table - routes[0])) <= 4 * np.finfo(float).eps * np.max(np.abs(table))
 
 
 @pytest.mark.parametrize("call,shape,ffts,eighs", [
