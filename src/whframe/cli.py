@@ -164,7 +164,6 @@ def _header(lat: GaborLattice) -> dict:
 
 def _cmd_analyze(data: ParsedInput, config: JobConfig, g):
     report = classify(data.lat, g, config.tol)
-    # before norm_audit, which may analyze g on the adjoint lattice
     density = density_diagnostics(data.lat, g) if report.is_frame else None
     return report.is_frame, {
         "tightness": report,
@@ -228,7 +227,7 @@ def _cmd_fourier_dual(data: ParsedInput, config: JobConfig, g):
 
 def _cmd_wh_identity(data: ParsedInput, config: JobConfig, g, f):
     energy = float(np.real(np.vdot(f, walnut_apply(data.lat, g, f))))
-    f1, f2 = frame_energy_split(data.lat, g, f)  # analyzes f after g
+    f1, f2 = frame_energy_split(data.lat, g, f)
     scale = 1.0 + norm_sq(f) * norm_sq(g)
     residual = abs(f1 + f2.real - energy)
     holds = residual <= config.tol * scale and abs(f2.imag) <= config.tol * scale

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import _analysis
+from .frame import _analysis, _ct, _forward, _walnut
 from .lattice import GaborLattice, as_signal, translate
 
 __all__ = [
@@ -107,7 +107,9 @@ def frame_energy_split(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> tuple
     k and b-k terms are conjugate. Both Gk and the lagged products of f
     are a-periodic folds, the (g, g) and (f, f) Walnut tables G, so summing
     over one period, lag row k is M * sum_s G_gg[s, k] * conj(G_ff[s, k]).
+    G_ff is read off f's Zak blocks: f is a probe, not a window, so it gets no analysis.
     """
     G_gg = _analysis(lat, g).walnut()
-    rows = lat.M * np.sum(G_gg * np.conj(_analysis(lat, f).walnut()), axis=0)
+    Zf = _forward(lat, as_signal(f, lat.L))
+    rows = lat.M * np.sum(G_gg * np.conj(_walnut(lat, Zf @ _ct(Zf))), axis=0)
     return float(rows[0].real), complex(np.sum(rows[1:]))

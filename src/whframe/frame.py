@@ -17,8 +17,8 @@ take no eigh and no Newton-Schulz step (Strohmer 1998). O(L log L) time, O(L) me
 S commutes with every lattice operator, so S^-1 g and S^-1/2 g generate Weyl-Heisenberg
 systems again. Reconstruction, sum <f, h_mn> g_mn, acts on the blocks as
 Z_f -> (L/p) * Z_g Z_h^H Z_f. Every tightness and dual certificate reads the
-period-a Walnut table of (h, g): a fixed gather of the blocks Z_h Z_g^H (none when
-a/c = 1), a length-b DFT and, when a/c > 1, a length-a/c inverse DFT. Its columns'
+period-a Walnut table of (h, g), _walnut: a fixed gather of the cross-Gram blocks Z_h Z_g^H
+(none when a/c = 1), a length-b DFT and, when a/c > 1, a length-a/c inverse DFT. Its columns'
 length-a DFTs are the adjoint products <h, E_{kp} T_{lq} g> (Janssen), on the adjoint
 lattice the Gabor coefficients. gap, the table less b/L at k = 0, is zero iff h is a dual
 of g (at h = g, iff S = I), and residuals reads the Wexler-Raz and Walnut residuals off it,
@@ -174,6 +174,17 @@ def _dft(x: np.ndarray, axis: int = -1, inverse: bool = False) -> np.ndarray:
     return x @ F if axis == -1 else F.T @ x
 
 
+def _walnut(lat: GaborLattice, X: np.ndarray) -> np.ndarray:
+    """The period-a Walnut table of (h, g) from its cross-Gram blocks X = Z_h Z_g^H, shape
+    (a, b): [s, k] = Hk[k][s] = sum_n h(s - n*a) conj(g(s - n*a - k*q)); see _walnut_layout."""
+    T = X.reshape(X.shape[0], -1)
+    if X.shape[-2] > 1:  # P > 1: gather, DFT over l', inverse DFT over j, s = e + c*m
+        T = _dft(_dft(T[:, _walnut_layout(lat)]), axis=-2, inverse=True).swapaxes(0, 1)
+    else:  # the gather is the identity
+        T = _dft(T)
+    return T.reshape(lat.a, lat.b)
+
+
 class _FrameAnalysis:
     """The Zak blocks of one (lattice, window) pair, shape (c, d, p, q_w), of a
     checked signal g, and their spectrum. Every frame quantity of the window reads them and
@@ -214,16 +225,9 @@ class _FrameAnalysis:
         return _inverse(self.lat, self.scale * self.Z @ ((_ct(self.Z) if h is None else ZhH) @ Zf))
 
     def walnut(self, Zh: np.ndarray | None = None) -> np.ndarray:
-        """The period-a Walnut table of the window h with Zak blocks Zh (h = g by default),
-        shape (a, b): [s, k] = Hk[k][s] = sum_n h(s - n*a) conj(g(s - n*a - k*q)), from the
-        cross-Gram blocks Z_h Z_g^H; see _walnut_layout."""
-        T = (self.gram if Zh is None and self.wide else
-             (self.Z if Zh is None else Zh) @ _ct(self.Z)).reshape(self.Z.shape[0], -1)
-        if self.Z.shape[-2] > 1:  # P > 1: gather, DFT over l', inverse DFT over j, s = e + c*m
-            T = _dft(_dft(T[:, _walnut_layout(self.lat)]), axis=-2, inverse=True).swapaxes(0, 1)
-        else:  # the gather is the identity
-            T = _dft(T)
-        return T.reshape(self.lat.a, self.lat.b)
+        """The (h, g) Walnut table of the window h with Zak blocks Zh (h = g by default)."""
+        return _walnut(self.lat, self.gram if Zh is None and self.wide else
+                       (self.Z if Zh is None else Zh) @ _ct(self.Z))
 
     def gap(self, Zh: np.ndarray | None = None) -> np.ndarray:
         """walnut(Zh) less b/L in column 0: zero iff h is a dual of g; with h = g, iff S = I."""

@@ -29,7 +29,6 @@ __all__ = [
     "gabor_atom",
     "adjoint_atom",
     "dft",
-    "idft",
     "inner",
     "norm_sq",
 ]
@@ -136,11 +135,6 @@ def adjoint_atom(lat: GaborLattice, g: np.ndarray, k: int, l: int) -> np.ndarray
 def dft(s: np.ndarray) -> np.ndarray:
     """Unitary DFT: output(j) = L**-0.5 * sum_x s(x) exp(-2*pi*i*j*x/L)."""
     return np.fft.fft(np.asarray(s, dtype=np.complex128), norm="ortho")
-
-
-def idft(s: np.ndarray) -> np.ndarray:
-    """Inverse of the unitary DFT."""
-    return np.fft.ifft(np.asarray(s, dtype=np.complex128), norm="ortho")
 
 
 def inner(s1: np.ndarray, s2: np.ndarray) -> complex:

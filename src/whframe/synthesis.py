@@ -4,9 +4,11 @@ orthogonalization elsewhere.
 At critical density (a*b == L) the window decouples into the a residue
 subsequences z_y(n) = g(y + n*a), n in [0, N), N = b. The system is
 normalized tight iff every z_y is orthogonal to all of its proper cyclic
-shifts with squared norm b/L, iff every z_y has a flat unitary DFT with
-modulus L**-0.5 per bin. That makes the full set of tight generators an
-explicit family: pick any real phase array phi[y][j] (in cycles), set
+shifts with squared norm b/L (criterion (3), tightness.check_cond_adjoint),
+iff every z_y has a flat unitary DFT with modulus L**-0.5 per bin (the test
+phases_from_tight_generator makes). That makes the full set of tight
+generators an explicit family: pick any real phase array phi[y][j] (in
+cycles), set
 
     w_y(j) = L**-0.5 * exp(2*pi*i*phi[y][j]),   z_y = unitary-IDFT(w_y),
 
@@ -27,12 +29,10 @@ import numpy as np
 
 from .errors import LatticeError, NotAFrameError, NotTightError
 from .frame import DEFAULT_TOL, _forward, _inverse, _zak_layout, tighten
-from .lattice import GaborLattice, as_signal, norm_sq
+from .lattice import GaborLattice, as_signal
 
 __all__ = [
     "PhaseSpec",
-    "shift_orthogonality_residual",
-    "flat_spectrum_residual",
     "tight_generator_from_phases",
     "phases_from_tight_generator",
     "random_tight_generator",
@@ -65,28 +65,6 @@ class PhaseSpec:
         if not np.all(np.isfinite(phases)):
             raise ValueError("phases contain non-finite entries")
         object.__setattr__(self, "phases", phases)
-
-
-def shift_orthogonality_residual(z: np.ndarray, target_norm_sq: float) -> float:
-    """How far z is from being orthogonal to its proper cyclic shifts.
-
-    Worst |<z, roll(z, s)>| over s = 1 .. N-1, combined with the gap
-    |norm_sq(z) - target_norm_sq|. The products are the cyclic autocorrelation
-    of z, one inverse DFT of |DFT z|^2 (Wiener-Khinchin).
-    """
-    z = as_signal(z)
-    products = np.fft.ifft(np.abs(np.fft.fft(z)) ** 2)[1:]
-    return float(max(abs(norm_sq(z) - target_norm_sq), np.max(np.abs(products), initial=0.0)))
-
-
-def flat_spectrum_residual(z: np.ndarray, flat_value: float) -> float:
-    """Worst deviation of |unitary-DFT(z)|^2 from flat_value.
-
-    Zero here with flat_value v is equivalent to a zero
-    shift_orthogonality_residual with target N*v.
-    """
-    spectrum = np.fft.fft(as_signal(z), norm="ortho")
-    return float(np.max(np.abs(np.abs(spectrum) ** 2 - flat_value)))
 
 
 def tight_generator_from_phases(spec: PhaseSpec) -> np.ndarray:

@@ -93,15 +93,8 @@ def check_cond_adjoint(lat: GaborLattice, g: np.ndarray) -> float:
     return _analysis(lat, g).residuals()[0]
 
 
-def check_cond_orthogonal_system(lat: GaborLattice, g: np.ndarray) -> float:
-    """Pairwise-orthogonality residual of all a*b adjoint atoms, plus norm gap.
-
-    Two distinct adjoint atoms have the inner product of g with a third,
-    nontrivial one, times a unit phase, and every nontrivial atom occurs
-    that way; so this is check_cond_adjoint. The brute-force Gram matrix
-    in oracle_adjoint_gram checks it independently.
-    """
-    return check_cond_adjoint(lat, g)
+# criterion (4): by the phase identity its residual is criterion (3)'s
+check_cond_orthogonal_system = check_cond_adjoint
 
 
 def check_cond_fixed_point(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> float:

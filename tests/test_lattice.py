@@ -10,7 +10,6 @@ from whframe import (
     as_signal,
     dft,
     gabor_atom,
-    idft,
     inner,
     modulate,
     norm_sq,
@@ -187,10 +186,6 @@ class TestDft:
     def test_parseval(self):
         s = random_signal(np.random.default_rng(7), 16)
         assert norm_sq(dft(s)) == pytest.approx(norm_sq(s), abs=1e-12)
-
-    def test_idft_inverts(self):
-        s = random_signal(np.random.default_rng(8), 9)
-        assert np.allclose(idft(dft(s)), s, atol=1e-12)
 
     @pytest.mark.parametrize("L,a,b", [(4, 2, 2), (6, 2, 3), (8, 2, 2), (12, 3, 2), (16, 4, 4)])
     def test_maps_atoms_to_swapped_lattice(self, L, a, b):

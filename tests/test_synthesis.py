@@ -7,12 +7,11 @@ from whframe import (
     NotAFrameError,
     NotTightError,
     PhaseSpec,
+    check_cond_adjoint,
     classify,
-    flat_spectrum_residual,
     norm_sq,
     phases_from_tight_generator,
     random_tight_generator,
-    shift_orthogonality_residual,
     tight_generator_from_phases,
     tighten,
 )
@@ -26,52 +25,70 @@ def unimodular_spectrum_vector(rng, N, scale):
     return np.fft.ifft(scale * np.exp(2j * np.pi * rng.random(N)), norm="ortho")
 
 
+def residue_lattice(N):
+    """(N, 1, N): one residue subsequence, z itself, whose 1 x 1 Zak blocks are its unitary DFT."""
+    return GaborLattice(N, 1, N)
+
+
 class TestShiftOrthogonality:
+    # criterion (3) at (N, 1, N): the adjoint products are <z, roll(z, s)>, s in Z_N,
+    # less a*b/L = 1 at s = 0, so the residual is that of orthogonality to the proper
+    # cyclic shifts with squared norm 1
     def test_impulse_pair(self):
-        assert shift_orthogonality_residual(np.array([1, 0], dtype=complex), 1.0) == 0.0
+        assert check_cond_adjoint(residue_lattice(2), np.array([1, 0], dtype=complex)) <= 1e-15
 
     def test_constant_pair(self):
         z = np.array([1, 1], dtype=complex)
-        assert shift_orthogonality_residual(z, 2.0) == pytest.approx(2.0)
+        assert check_cond_adjoint(residue_lattice(2), z) == pytest.approx(2.0)
 
     def test_norm_gap_counts(self):
-        z = np.array([1, 0], dtype=complex)
-        assert shift_orthogonality_residual(z, 2.0) == pytest.approx(1.0)
-
+        z = np.array([np.sqrt(2), 0], dtype=complex)
+        assert check_cond_adjoint(residue_lattice(2), z) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 16, 97])
     def test_matches_the_shift_loop(self, N):
-        # the autocorrelation by one inverse FFT against N - 1 explicit shifts
-        z = random_signal(np.random.default_rng(N + 100), N)
-        for target in (0.0, norm_sq(z)):
-            loop = abs(norm_sq(z) - target)
+        # the Zak route against N - 1 explicit shifts, with and without a norm gap
+        raw = random_signal(np.random.default_rng(N + 100), N)
+        for z in (raw, raw / np.sqrt(norm_sq(raw))):
+            loop = abs(norm_sq(z) - 1.0)
             for s in range(1, N):
                 loop = max(loop, abs(np.vdot(np.roll(z, s), z)))
-            fast = shift_orthogonality_residual(z, target)
+            fast = check_cond_adjoint(residue_lattice(N), z)
             assert abs(fast - loop) <= 1e-12 * max(loop, norm_sq(z))
 
 
+def phases_accept(lat, z):
+    """Whether phases_from_tight_generator finds z's residue spectra flat."""
+    try:
+        phases_from_tight_generator(lat, z)
+    except NotTightError:
+        return False
+    return True
+
+
 class TestFlatSpectrum:
+    # at (N, 1, N) the flat-spectrum test of the phase extraction is criterion (3)
     def test_impulse_is_flat(self):
-        assert flat_spectrum_residual(np.array([1, 0], dtype=complex), 0.5) <= 1e-12
+        lat, z = residue_lattice(2), np.array([1, 0], dtype=complex)
+        assert phases_accept(lat, z) and classify(lat, z).normalized_tight
 
     def test_constant_is_not_flat(self):
-        assert flat_spectrum_residual(np.array([1, 1], dtype=complex), 1.0) == pytest.approx(1.0)
+        lat, z = residue_lattice(2), np.array([1, 1], dtype=complex)
+        assert not phases_accept(lat, z) and not classify(lat, z).normalized_tight
 
     @pytest.mark.parametrize("N", [2, 3, 5, 8, 16])
     def test_equivalence_with_shift_orthogonality(self, N):
-        # flat |spectrum|^2 == v is the same as orthogonality to proper
-        # shifts with squared norm N*v
-        rng = np.random.default_rng(N)
-        v = 0.7
-        flat = unimodular_spectrum_vector(rng, N, np.sqrt(v))
-        assert flat_spectrum_residual(flat, v) <= 1e-9
-        assert shift_orthogonality_residual(flat, N * v) <= 1e-9
+        # a flat |spectrum|^2 == 1/N is the same as orthogonality to proper
+        # shifts with squared norm 1, and as normalized tightness
+        rng, lat = np.random.default_rng(N), residue_lattice(N)
+        flat = unimodular_spectrum_vector(rng, N, N ** -0.5)
+        assert phases_accept(lat, flat) and classify(lat, flat).normalized_tight
+        assert check_cond_adjoint(lat, flat) <= 1e-9
         for _ in range(10):
             z = random_signal(rng, N)
-            hit_flat = flat_spectrum_residual(z, v) <= 1e-9
-            hit_shift = shift_orthogonality_residual(z, N * v) <= 1e-9
-            assert hit_flat == hit_shift
+            hit_flat = phases_accept(lat, z)
+            assert hit_flat == classify(lat, z).normalized_tight
+            assert hit_flat == (check_cond_adjoint(lat, z) <= 1e-9)
 
 
 class TestPhaseSpec:

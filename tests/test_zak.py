@@ -30,6 +30,7 @@ from whframe import (
     inner,
     make_alternate_dual,
     phases_from_tight_generator,
+    random_tight_generator,
     reconstruct,
     tight_generator_from_phases,
     tighten,
@@ -284,14 +285,17 @@ def test_dual_space_transform_count(calls, call, shape, ffts, eighs):
     assert (len(calls) - calls.count("eigh"), calls.count("eigh")) == (ffts, eighs)
 
 
-@pytest.mark.parametrize("shape,count", [
-    ((48, 4, 6), 0), ((48, 8, 12), 0), ((12, 3, 4), 0),  # 1 x 2, 2 x 1 and 1 x 1 Zak blocks
-    ((36, 4, 6), 1),                                      # 2 x 3: one batched eigh
-], ids=["48-4-6", "48-8-12", "12-3-4", "36-4-6"])
-def test_classify_eigh_count(calls, shape, count):
+@pytest.mark.parametrize("call,shape,count", [
+    (classify, (48, 4, 6), 0), (classify, (48, 8, 12), 0),  # 1 x 2 and 2 x 1 Zak blocks
+    (classify, (12, 3, 4), 0),                              # 1 x 1
+    (classify, (36, 4, 6), 1),                              # 2 x 3: one batched eigh
+    # the probe f, here g reversed, gets no frame analysis: g's eigh alone
+    (lambda lat, g: correlation.frame_energy_split(lat, g, g[::-1]), (36, 4, 6), 1),
+], ids=["48-4-6", "48-8-12", "12-3-4", "36-4-6", "frame_energy_split-36-4-6"])
+def test_classify_eigh_count(calls, call, shape, count):
     # scalar Gram blocks, min(p, q_w) = 1, are their own eigenvalues
     lat = GaborLattice(*shape)
-    classify(lat, random_signal(np.random.default_rng(23), lat.L))
+    call(lat, random_signal(np.random.default_rng(23), lat.L))
     assert calls.count("eigh") == count
 
 
@@ -328,20 +332,30 @@ def test_reconstruct_builds_one_analysis(builds):
     assert builds == {"lattices": [lat], "tables": 0}
 
 
-@pytest.mark.parametrize("command,windows", [
-    ("analyze", 1), ("check-tight", 1), ("fourier-dual", 2), ("bounds", 1), ("dual", 1),
-    ("wexler-raz", 1), ("verify-dual", 1), ("wh-identity", 2),
-])
-def test_cli_builds_one_analysis_per_window(builds, tmp_path, capsys, command, windows):
-    # wh-identity analyzes g and f; fourier-dual g and dft(g) on the swapped lattice
-    lat = GaborLattice(48, 4, 6)
+CLI_RUNS = [  # command, windows analyzed, on a critical tight window
+    ("analyze", 1, False), ("check-tight", 1, False), ("fourier-dual", 2, False),
+    ("bounds", 1, False), ("dual", 1, False), ("wexler-raz", 1, False),
+    ("verify-dual", 1, False), ("wh-identity", 1, False), ("analyze", 1, True),
+]
+
+
+@pytest.mark.parametrize("command,windows,tight", CLI_RUNS, ids=[
+    f"{command}-{windows}" + ("-critical-tight" if tight else "") for command, windows, tight in CLI_RUNS])
+def test_cli_builds_one_analysis_per_window(builds, tmp_path, capsys, command, windows, tight):
+    # fourier-dual analyzes g and dft(g) on the swapped lattice; wh-identity reads its
+    # probe f off its Zak blocks; a critical lattice (L, a, b) is its own adjoint (L, q, p),
+    # so norm_audit at the bound finds g's analysis in the cache
+    lat = GaborLattice(12, 3, 4) if tight else GaborLattice(48, 4, 6)
     rng = np.random.default_rng(16)
     g, h, f = (rng.standard_normal((lat.L, 2)).tolist() for _ in range(3))
+    if tight:
+        g = [[z.real, z.imag] for z in random_tight_generator(lat, 0)]
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"L": lat.L, "a": lat.a, "b": lat.b, "g": g, "h": h, "f": f}))
     fails = command in ("check-tight", "wexler-raz", "verify-dual")
     assert main([command, "--input", str(path)]) == (1 if fails else 0)
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    assert not tight or json.loads(out)["norm_audit"]["at_bound"]
     second = lat.swapped() if command == "fourier-dual" else lat
     assert builds == {"lattices": [lat, second][:windows], "tables": 0}
 
