@@ -13,7 +13,8 @@ each block's thin SVD U Sigma V^H, with sigma read as row norms of U^H Z_g
 polished by one Newton-Schulz step, the polar factor S^-1/2 g
 (Janssen-Strohmer 2002) and V, whose p Householder reflectors per block
 give null(Z_g) and free, the dual-space map; scalar Gram blocks (min(p, q_w) = 1)
-take no eigh and no Newton-Schulz step (Strohmer 1998). O(L log L) time, O(L) memory.
+take no eigh and no Newton-Schulz step (Strohmer 1998). O(L) memory; the Zak pair takes
+O(L log L) time, at most SHORT_DFT * L multiply-adds when it is a matrix product.
 S commutes with every lattice operator, so S^-1 g and S^-1/2 g generate Weyl-Heisenberg
 systems again. Reconstruction, sum <f, h_mn> g_mn, acts on the blocks as
 Z_f -> (L/p) * Z_g Z_h^H Z_f. Every tightness and dual certificate reads the
@@ -22,10 +23,13 @@ period-a Walnut table of (h, g), _walnut: a fixed gather of the cross-Gram block
 length-a DFTs are the adjoint products <h, E_{kp} T_{lq} g> (Janssen), on the adjoint
 lattice the Gabor coefficients. gap, the table less b/L at k = 0, is zero iff h is a dual
 of g (at h = g, iff S = I), and residuals reads the Wexler-Raz and Walnut residuals off it,
-for tightness and duality alike. These Walnut-side DFTs of length n <= SHORT_DFT = 32 are
-one product with a cached matrix of numpy's own twiddles (_dft): the product is the faster
-up to n = 48 on n x n tables and to about n = 24 on tables of 960 to 1920 columns (a shared
-2-CPU x86-64 VM, numpy 2.4, one BLAS thread). The Zak pair stays on np.fft.
+for tightness and duality alike. DFTs of length n <= SHORT_DFT = 32 are one product with a
+cached matrix of numpy's own twiddles: the Walnut-side ones (_dft) and, at n = L/c, the Zak
+pair, whose per-lattice matrix has W folded into its columns (rows, for _inverse), so the
+gather and scatter go too; numpy's 1/sqrt(n) follows the product, so integer sums stay exact.
+On a shared 2-CPU x86-64 VM (numpy 2.4, one BLAS thread) the product is the faster up to
+n = 48 on n x n tables, to about n = 24 on tables of 960 to 1920 columns, and for the Zak
+pair's c <= 120 rows up to n = 32 (even at 40 to 48). Longer DFTs call np.fft.
 
 Near-singular operators are rejected rather than inverted: one gate,
 A > FRAME_FLOOR * B, decides "frame" everywhere in the package.
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, sqrt
 
 import numpy as np
 
@@ -70,7 +74,8 @@ __all__ = [
 FRAME_FLOOR = 1e-10
 # Default tolerance of every verdict and certificate, and of the CLI's --tol.
 DEFAULT_TOL = 1e-9
-# Longest Walnut-side DFT taken as a matrix product (_dft); longer ones call np.fft.
+# Longest DFT taken as a matrix product: Walnut-side (_dft) and the Zak pair's L/c
+# (_zak_matrix); longer ones call np.fft.
 SHORT_DFT = 32
 
 
@@ -122,21 +127,41 @@ def _zak_layout(lat: GaborLattice) -> tuple[int, np.ndarray]:
     return c, W
 
 
+@lru_cache(maxsize=128)  # L/c <= SHORT_DFT: 16 KiB per matrix at most
+def _zak_matrix(lat: GaborLattice, inverse: bool) -> np.ndarray:
+    """numpy's length-L/c DFT matrix, unscaled, with the gather W folded in, read-only: its
+    columns in the order W for _forward; for _inverse its conjugate, numpy's backward
+    transform, with the rows in the order W."""
+    W = _zak_layout(lat)[1].ravel()
+    F = _dft_matrix(W.size, False)
+    F = F[W].conj() if inverse else F[:, W]
+    F.flags.writeable = False
+    return F
+
+
 def _forward(lat: GaborLattice, f: np.ndarray) -> np.ndarray:
-    """Zak blocks (c, d, p, q_w) of a checked signal: its residue classes' DFTs, gathered by W."""
+    """Zak blocks (c, d, p, q_w) of a checked signal: its residue classes' DFTs, gathered by W;
+    one product with _zak_matrix up to L/c = SHORT_DFT, np.fft above it."""
     c, W = _zak_layout(lat)
-    return np.fft.fft(f.reshape(-1, c).T, axis=1, norm="ortho")[:, W]
+    if W.size > SHORT_DFT:
+        return np.fft.fft(f.reshape(-1, c).T, axis=1, norm="ortho")[:, W]
+    # numpy's unitary scale 1/sqrt(n), applied after the sums as np.fft applies it
+    return (f.reshape(-1, c).T @ _zak_matrix(lat, False) * (1 / sqrt(W.size))).reshape(c, *W.shape)
 
 
 def _inverse(lat: GaborLattice, Z: np.ndarray) -> np.ndarray:
-    """The signals whose Zak blocks are Z, shape (..., c, d, p, q_w)."""
+    """The signals whose Zak blocks are Z, shape (..., c, d, p, q_w); one product with
+    _zak_matrix up to L/c = SHORT_DFT, np.fft above it."""
     c, W = _zak_layout(lat)
-    if Z.ndim == 4:  # one signal: the batched scatter's ellipsis and reshape cost more
-        spectra = np.empty((c, lat.L // c), dtype=np.complex128)
+    batch, n = Z.shape[:-4], W.size
+    if n <= SHORT_DFT:
+        x = Z.reshape(*batch, c, n) @ _zak_matrix(lat, True) * (1 / sqrt(n))
+        return x.swapaxes(-1, -2).reshape(*batch, lat.L)
+    if not batch:  # one signal: the batched scatter's ellipsis and reshape cost more
+        spectra = np.empty((c, n), dtype=np.complex128)
         spectra[:, W] = Z
         return np.fft.ifft(spectra, norm="ortho").T.ravel()
-    batch = Z.shape[:-4]
-    spectra = np.empty((*batch, c, lat.L // c), dtype=np.complex128)
+    spectra = np.empty((*batch, c, n), dtype=np.complex128)
     spectra[..., W] = Z
     return np.fft.ifft(spectra, norm="ortho").swapaxes(-1, -2).reshape(*batch, lat.L)
 

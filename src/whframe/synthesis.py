@@ -13,8 +13,9 @@ cycles), set
     w_y(j) = L**-0.5 * exp(2*pi*i*phi[y][j]),   z_y = unitary-IDFT(w_y),
 
 and interleave the z_y back into g. Phase extraction inverts this, so the
-parametrization is complete as well as sound. The w_y are frame's 1 x 1 Zak
-blocks (c = a, d = b), so both directions read its forward/inverse pair.
+parametrization is complete as well as sound. Both directions are one np.fft
+call over the a residue rows. The w_y are frame's 1 x 1 Zak blocks (c = a,
+d = b) in another order, where the Zak pair's gather W and its inverse cancel.
 
 Below critical density there is no such closed form; random tight windows
 are produced by drawing a Gaussian window and applying the canonical
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LatticeError, NotAFrameError, NotTightError
-from .frame import DEFAULT_TOL, _forward, _inverse, _zak_layout, tighten
+from .frame import DEFAULT_TOL, tighten
 from .lattice import GaborLattice, as_signal
 
 __all__ = [
@@ -74,8 +75,8 @@ def tight_generator_from_phases(spec: PhaseSpec) -> np.ndarray:
     z_y = unitary inverse DFT of w_y, and g(y + n*a) = z_y(n). The result
     is always normalized tight with norm_sq(g) == 1.
     """
-    lat, W = spec.lat, _zak_layout(spec.lat)[1]  # Zak block [y, i]: w_y at frequency W[i]
-    return _inverse(lat, (np.exp(2j * np.pi * spec.phases) / np.sqrt(lat.L))[:, W])
+    rows = np.exp(2j * np.pi * spec.phases) / np.sqrt(spec.lat.L)  # row y: w_y
+    return np.fft.ifft(rows, axis=1, norm="ortho").T.reshape(spec.lat.L)
 
 
 def phases_from_tight_generator(lat: GaborLattice, g: np.ndarray,
@@ -90,16 +91,15 @@ def phases_from_tight_generator(lat: GaborLattice, g: np.ndarray,
         raise LatticeError(
             f"phase extraction needs a*b == L, got {lat.a}*{lat.b} != {lat.L}"
         )
-    spectra = _forward(lat, as_signal(g, lat.L))  # Zak block [y, i]: w_y at frequency W[i]
+    # row y: w_y, the unitary DFT of z_y(n) = g(y + n*a)
+    spectra = np.fft.fft(as_signal(g, lat.L).reshape(lat.N, lat.a).T, axis=1, norm="ortho")
     deviation = float(np.max(np.abs(np.abs(spectra) - lat.L ** -0.5)))
     if deviation > tol:
         raise NotTightError(
             f"residue spectrum modulus off by {deviation:.3e} (tol {tol:.1e}); "
             "window is not a normalized tight generator"
         )
-    phases = np.empty((lat.a, lat.b))
-    phases[:, _zak_layout(lat)[1]] = np.mod(np.angle(spectra) / (2 * np.pi), 1.0)
-    return PhaseSpec(lat, phases)
+    return PhaseSpec(lat, np.mod(np.angle(spectra) / (2 * np.pi), 1.0))
 
 
 def random_tight_generator(lat: GaborLattice, seed: int) -> np.ndarray:

@@ -23,10 +23,14 @@ alternate dual (frames) or a random h, a probe f and, at a*b = L, phases; one
 bare-lattice file per lattice; and the box, delta and impulse fixtures. `run`
 calls cli.main in process on every file with each of the 14 argument lists in
 VARIANTS, 1,134 runs, after checking that whframe was imported from SRC, and
-writes them to OUT with the SHA-256 of SRC/whframe/*.py. `compare` prints both
-hashes and warns when they are equal: two runs of one source tree show nothing
-about a change. It lists the runs that differ and counts those whose exit code
-changed apart from those that differ only in the bytes of stdout or stderr.
+writes them to OUT with the SHA-256 of SRC/whframe/*.py. Each run records its
+exit code, the SHA-256 of its stdout and stderr, and that of stdout with every float
+token masked (JSON and CSV floats carry a `.` or an exponent; integers such as
+`dimension` stay). `compare` prints both hashes and warns when they are equal:
+two runs of one source tree show nothing about a change. It lists the runs that
+differ, each tagged `exit`, `structure` or `digits`, and counts those whose exit
+code changed, those that differ in structure, verdicts or integers (masked stdout
+or stderr), and those that differ in float digits only.
 Pytest does not collect this file; test_cli.py::test_cli_sweep_on_the_fixtures
 runs the matrix on the fixtures.
 """
@@ -38,6 +42,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -59,6 +64,9 @@ VARIANTS = tuple([command] for command in COMMANDS) + (
     ["make-tight", "--seed", "5"], ["profile", "--format", "json"],
     ["check-tight", "--tol", "1e-3"], ["bounds", "--format", "csv"],
 )
+
+# a whole JSON or CSV number token with a fraction or an exponent
+FLOAT = re.compile(r"(?<![\w.])-?\d+(?:\.\d*(?:[eE][-+]?\d+)?|[eE][-+]?\d+)(?![\w.])")
 
 ROOT2_INV = 2 ** -0.5
 FIXTURES = {
@@ -109,6 +117,15 @@ def write_inputs(directory) -> None:
     write_fixtures(directory)
 
 
+def mask_floats(text: str) -> str:
+    """text with every float token replaced by #."""
+    return FLOAT.sub("#", text)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def run_matrix(directory) -> list[dict]:
     """Every input file under every variant, through whframe.cli.main in process."""
     from whframe.cli import main
@@ -129,8 +146,9 @@ def run_matrix(directory) -> list[dict]:
                     "input": path.name,
                     "args": variant,
                     "exit": code,
-                    "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-                    "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+                    "stdout": _sha256(out.getvalue()),
+                    "stderr": _sha256(err.getvalue()),
+                    "stdout_masked": _sha256(mask_floats(out.getvalue())),
                 })
     finally:
         if env is not None:
@@ -200,9 +218,13 @@ def main(argv: list[str]) -> int:
         if a["sha256"] == b["sha256"]:
             print("A and B ran the same source: this compare shows nothing about a change")
         a, b = a["runs"], b["runs"]
-        diff, exits = differences(a, b), differences(a, b, ("exit",))
-        print("\n".join(diff + [f"{len(diff)} of {max(len(a), len(b))} runs differ: {len(exits)} "
-                                f"in exit code, {len(diff) - len(exits)} in bytes only"]))
+        diff, exits = differences(a, b), set(differences(a, b, ("exit",)))
+        structure = set(differences(a, b, ("exit", "stdout_masked", "stderr")))
+        for run in diff:
+            print(run, "exit" if run in exits else "structure" if run in structure else "digits")
+        print(f"{len(diff)} of {max(len(a), len(b))} runs differ: {len(exits)} in exit code, "
+              f"{len(structure) - len(exits)} in structure, verdicts or integers, "
+              f"{len(diff) - len(structure)} in float digits only")
         return 1 if diff else 0
     print(__doc__, file=sys.stderr)
     return 2

@@ -725,3 +725,10 @@ def test_cli_sweep_on_the_fixtures(tmp_path):
     changed = [dict(records[0], stdout="0" * 64), dict(records[1], exit=1), *records[2:]]
     assert cli_sweep.differences(records, changed) == ["box.json analyze", "box.json check-tight"]
     assert cli_sweep.differences(records, changed, ("exit",)) == ["box.json check-tight"]
+    # a change in float digits alone leaves the masked digest; an integer or a verdict moves it
+    text = '{"A": 0.5000000000000001, "dimension": 3, "tol": 1e-09, "tight": true}\n0,1,-0.5\n'
+    assert cli_sweep.mask_floats(text) == '{"A": #, "dimension": 3, "tol": #, "tight": true}\n0,1,#\n'
+    for old, new in (("3,", "4,"), ("true", "false"), ("0,1,", "0,2,")):
+        assert cli_sweep.mask_floats(text.replace(old, new)) != cli_sweep.mask_floats(text)
+    digits = [dict(records[0], stdout="0" * 64), *records[1:]]
+    assert cli_sweep.differences(records, digits, ("exit", "stdout_masked", "stderr")) == []

@@ -15,6 +15,7 @@ from whframe import (
     tight_generator_from_phases,
     tighten,
 )
+from whframe.frame import _forward, _inverse, _zak_layout
 from helpers import critical_lattices, random_signal
 
 BOX_WINDOW = np.array([1, 1, 0, 0], dtype=complex) / np.sqrt(2)
@@ -176,8 +177,7 @@ def residue_phases(lat, g):
 
 
 def test_phase_api_is_the_residue_construction_bit_for_bit():
-    # the phase API reads frame's Zak transform, whose 1 x 1 blocks at a*b = L
-    # are the residue spectra in another order: every bit must survive the move
+    # the phase API is one np.fft call over the residue rows: every bit must match
     rng = np.random.default_rng(21)
     lattices = [GaborLattice(L, a, L // a) for L in range(1, 121)
                 for a in range(1, L + 1) if L % a == 0]
@@ -188,6 +188,29 @@ def test_phase_api_is_the_residue_construction_bit_for_bit():
         assert np.array_equal(g, residue_generator(lat, phases)), lat
         assert np.array_equal(phases_from_tight_generator(lat, g).phases,
                               residue_phases(lat, g)), lat
+
+
+def test_phase_api_reads_the_zak_blocks():
+    # at a*b = L the Zak blocks are 1 x 1 (c = a, d = b): block [y, i] is the unitary DFT
+    # of the residue y at frequency W[i], so the Zak pair and the phase API, which run
+    # different code, must agree on a seeded sample of the 602 critical lattices
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    critical = [GaborLattice(L, a, L // a) for L in range(1, 121)
+                for a in range(1, L + 1) if L % a == 0]
+    for k in rng.choice(len(critical), 100, replace=False):
+        lat = critical[k]
+        W = _zak_layout(lat)[1].ravel()
+        phases = rng.random((lat.a, lat.b))
+        g = tight_generator_from_phases(PhaseSpec(lat, phases))
+        blocks = _forward(lat, g)
+        assert blocks.shape == (lat.a, lat.b, 1, 1), lat
+        # phases in turns, compared mod 1; phases_from_tight_generator checks the moduli
+        turns = np.angle(blocks.reshape(lat.a, lat.b)) / (2 * np.pi)
+        turns -= phases_from_tight_generator(lat, g).phases[:, W]
+        assert np.max(np.abs(turns - np.round(turns))) <= 4 * eps, lat
+        written = (np.exp(2j * np.pi * phases) / np.sqrt(lat.L))[:, W].reshape(blocks.shape)
+        assert np.max(np.abs(_inverse(lat, written) - g)) <= 4 * eps * np.max(np.abs(g)), lat
 
 
 class TestRandomTightGenerator:

@@ -183,8 +183,10 @@ def builds(monkeypatch):
 @pytest.fixture
 def calls(monkeypatch):
     """Names of the np.fft.fft, np.fft.ifft and np.linalg.eigh calls made and of the
-    matrix-route DFTs ("matrix": frame._dft at lengths up to SHORT_DFT), the analysis
-    cache cleared. Every DFT matrix is built first, so no build counts as a call."""
+    matrix-route DFTs ("matrix": frame._dft at lengths up to SHORT_DFT, and the Zak pair
+    through frame._zak_matrix at L/c up to SHORT_DFT), the analysis cache cleared. Every
+    DFT matrix is built first, and the Zak matrices are gathered from them, so no build
+    counts as a call."""
     frame._cached_analysis.cache_clear()
     for n in range(1, frame.SHORT_DFT + 1):
         for inverse in (False, True):
@@ -201,7 +203,12 @@ def calls(monkeypatch):
             seen.append("matrix")
         return _fn(x, axis, inverse)
 
+    def counting_zak(lat, inverse, _fn=frame._zak_matrix):
+        seen.append("matrix")
+        return _fn(lat, inverse)
+
     monkeypatch.setattr(frame, "_dft", counting_dft)
+    monkeypatch.setattr(frame, "_zak_matrix", counting_zak)
     return seen
 
 
@@ -209,29 +216,31 @@ def calls(monkeypatch):
     # count is every transform, ffts the np.fft calls among them. P = 1 on (48, 4, 6):
     # the Walnut table is one length-b DFT of the cross-Gram blocks, and the Wexler-Raz
     # residual one length-a DFT of the table, which the walnut residual does without;
-    # both are matrix products (b, a <= SHORT_DFT), so only the Zak pair calls np.fft
-    (lambda lat, g, h: classify(lat, g), (48, 4, 6), 4, 2),
-    (wexler_raz_check, (48, 4, 6), 4, 2),
-    (dual_conditions_walnut, (48, 4, 6), 3, 2),
-    (decompose_dual, (48, 4, 6), 5, 3),
-    (lambda lat, g, h: correlation.walnut_upper_bound(lat, g), (48, 4, 6), 2, 1),
-    (lambda lat, g, h: frame.frame_operator(lat, g), (48, 4, 6), 2, 1),
-    (correlation.frame_energy_split, (48, 4, 6), 4, 2),
-    (lambda lat, g, h: classify(lat, g), (36, 4, 6), 5, 2),  # P = 2: one length-P inverse DFT
-    # the phase API is one inverse or one forward block transform at a*b = L
+    # both are matrix products (b, a <= SHORT_DFT), and so is the Zak pair (L/c = 12)
+    (lambda lat, g, h: classify(lat, g), (48, 4, 6), 4, 0),
+    (wexler_raz_check, (48, 4, 6), 4, 0),
+    (dual_conditions_walnut, (48, 4, 6), 3, 0),
+    (decompose_dual, (48, 4, 6), 5, 0),
+    (lambda lat, g, h: correlation.walnut_upper_bound(lat, g), (48, 4, 6), 2, 0),
+    (lambda lat, g, h: frame.frame_operator(lat, g), (48, 4, 6), 2, 0),
+    (correlation.frame_energy_split, (48, 4, 6), 4, 0),
+    (lambda lat, g, h: classify(lat, g), (36, 4, 6), 5, 0),  # P = 2: one length-P inverse DFT
+    # L/c = 40 > SHORT_DFT: the Zak pair alone calls np.fft
+    (lambda lat, g, h: classify(lat, g), (960, 24, 20), 4, 2),
+    # the phase API is one inverse or one forward np.fft of the residue rows at a*b = L
     (lambda lat, g, h: tight_generator_from_phases(PhaseSpec(lat, g.real.reshape(3, 4))),
      (12, 3, 4), 1, 1),
     (lambda lat, g, h: phases_from_tight_generator(lat, np.repeat([1.0, 0.0], [3, 9]) / np.sqrt(3)),
      (12, 3, 4), 1, 1),
     # the block FFT of g, and one inverse per signal out; one forward per extra window in
-    (lambda lat, g, h: tighten(lat, g), (48, 4, 6), 2, 2),
-    (lambda lat, g, h: canonical_dual(lat, g), (48, 4, 6), 2, 2),
-    (lambda lat, g, h: reconstruct(lat, g, h, g + h), (48, 4, 6), 4, 4),
-    (walnut_apply, (48, 4, 6), 3, 3),
+    (lambda lat, g, h: tighten(lat, g), (48, 4, 6), 2, 0),
+    (lambda lat, g, h: canonical_dual(lat, g), (48, 4, 6), 2, 0),
+    (lambda lat, g, h: reconstruct(lat, g, h, g + h), (48, 4, 6), 4, 0),
+    (walnut_apply, (48, 4, 6), 3, 0),
 ], ids=["classify", "wexler_raz_check", "dual_conditions_walnut", "decompose_dual",
         "walnut_upper_bound", "frame_operator", "frame_energy_split", "classify-P2",
-        "tight_generator_from_phases", "phases_from_tight_generator", "tighten",
-        "canonical_dual", "reconstruct", "walnut_apply"])
+        "classify-zak-fft", "tight_generator_from_phases", "phases_from_tight_generator",
+        "tighten", "canonical_dual", "reconstruct", "walnut_apply"])
 def test_transform_count(calls, call, shape, count, ffts):
     lat = GaborLattice(*shape)
     rng = np.random.default_rng(22)
@@ -268,7 +277,38 @@ def test_walnut_side_is_the_same_on_either_route(monkeypatch, shape):
         assert np.max(np.abs(table - routes[0])) <= 4 * np.finfo(float).eps * np.max(np.abs(table))
 
 
-@pytest.mark.parametrize("call,shape,ffts,eighs", [
+@pytest.mark.parametrize("shape,n", [((4, 4, 1), 1), ((8, 4, 2), 2), ((16, 4, 4), 4),
+                                     ((96, 6, 32), 32), ((960, 24, 20), 40), ((128, 2, 64), 64)],
+                         ids=["n-1", "n-2", "n-4", "n-32-over-dense", "n-40", "n-64"])
+def test_zak_pair_is_the_same_on_either_route(monkeypatch, shape, n):
+    # n = L/c, the residue-class length: up to SHORT_DFT one product with the cached
+    # matrix, numpy's DFT with W folded in, and above it np.fft; one signal, a batch of
+    # three and an empty batch (the dual space at a*b = L has no rows)
+    lat = GaborLattice(*shape)
+    c, W = frame._zak_layout(lat)
+    assert lat.L // c == W.size == n
+    rng = np.random.default_rng(29)
+    f = random_signal(rng, lat.L)
+    Z = random_signal(rng, 3 * lat.L).reshape(3, *_forward(lat, f).shape)
+    eps = 4 * np.finfo(float).eps
+    routes = []
+    for short in (frame.SHORT_DFT, 0, 64):  # as shipped, all np.fft, all matrices
+        monkeypatch.setattr(frame, "SHORT_DFT", short)
+        routes.append((_forward(lat, f), _inverse(lat, Z[0]), _inverse(lat, Z),
+                       _inverse(lat, Z[:0])))
+    for route in routes[1:]:
+        for got, want in zip(route, routes[0]):
+            assert got.shape == want.shape
+            scale = np.max(np.abs(want), initial=0.0)
+            assert np.max(np.abs(got - want), initial=0.0) <= eps * scale
+    assert routes[0][3].shape == (0, lat.L)
+    assert np.max(np.abs(routes[0][2][0] - routes[0][1])) <= eps * np.max(np.abs(routes[0][1]))
+    # the inverse's matrix is the conjugate of numpy's forward twiddles: its backward DFT
+    backward = np.fft.ifft(np.eye(n), axis=1, norm="forward")[W.ravel()]
+    assert np.array_equal(frame._zak_matrix(lat, True), backward)
+
+
+@pytest.mark.parametrize("call,shape,count,eighs", [
     # the block FFT of g, the inverse block FFT of the free part and, for S^-1 g, one
     # more; the 1 x 2 Zak blocks of (48, 4, 6) take no eigh, the 2 x 3 of (36, 4, 6) one
     (lambda lat, g, h: make_alternate_dual(lat, g, h[:lat.L - lat.a * lat.b]), (48, 4, 6), 3, 0),
@@ -277,12 +317,12 @@ def test_walnut_side_is_the_same_on_either_route(monkeypatch, shape):
     (lambda lat, g, h: dual_space(lat, g).class_rows, (36, 4, 6), 3, 1),
 ], ids=["make_alternate_dual", "make_alternate_dual-P2", "dual_space_to_dict",
         "dual_space_to_dict-P2"])
-def test_dual_space_transform_count(calls, call, shape, ffts, eighs):
+def test_dual_space_transform_count(calls, call, shape, count, eighs):
     # the dual-space map adds no transform and no LAPACK call to the frame analysis
     lat = GaborLattice(*shape)
     rng = np.random.default_rng(22)
     call(lat, random_signal(rng, lat.L), random_signal(rng, lat.L))
-    assert (len(calls) - calls.count("eigh"), calls.count("eigh")) == (ffts, eighs)
+    assert (len(calls) - calls.count("eigh"), calls.count("eigh")) == (count, eighs)
 
 
 @pytest.mark.parametrize("call,shape,count", [
