@@ -9,11 +9,12 @@ at the adjoint-lattice shifts k*q, k in [0, b). The shift k*q repeats mod L
 with period b, so b rows capture every distinct lag exactly. The k = 0 row
 is the lattice power profile; it is real, nonnegative and a-periodic.
 
-Row k of the table is periodized_correlation(g, g, k*q, a), the fold of
-g * conj(T_{kq} g) over period a, repeated N times; the table is built from
-those b folds and holds no more memory than itself. Its period-a rows are
-the Walnut table of the window's frame analysis, read off the Zak blocks,
-which is where the Walnut bound and the energy split read them.
+Row k of the table is _fold(g, g, k*q, a), the periodized correlation of g
+and T_{kq} g: g * conj(T_{kq} g) folded to period a, repeated N times, so
+one period of a row, table[k, :a], is the whole fold. The table is built
+from those b folds and holds no more memory than itself. Its period-a rows
+are the Walnut table of the window's frame analysis, read off the Zak
+blocks, which is where the Walnut bound and the energy split read them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "CorrelationProfile",
     "cross_correlation_table",
     "correlation_profile",
-    "periodized_correlation",
     "walnut_upper_bound",
     "frame_energy_split",
 ]
@@ -51,7 +51,7 @@ class CorrelationProfile:
 
 def cross_correlation_table(lat: GaborLattice, h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Table of sum_n h(x - n*a) * conj(g(x - n*a - k*q)), shape (b, L): row k is
-    periodized_correlation(h, g, k*q, a), tiled N times. O(b*L) work and memory."""
+    _fold(h, g, k*q, a), tiled N times. O(b*L) work and memory."""
     h, g = as_signal(h, lat.L), as_signal(g, lat.L)
     return np.tile([_fold(h, g, k * lat.q, lat.a) for k in range(lat.b)], lat.N)
 
@@ -61,25 +61,12 @@ def correlation_profile(lat: GaborLattice, g: np.ndarray) -> CorrelationProfile:
     return CorrelationProfile(lat, cross_correlation_table(lat, g, g))
 
 
-def periodized_correlation(h: np.ndarray, g: np.ndarray, shift: int, fold_period: int) -> np.ndarray:
-    """Fold the pointwise product h * conj(translate(g, shift)) to a period.
-
-    output(r) = sum_j (h * conj(T_shift g))(r + j*fold_period) for
-    j = 0 .. L/fold_period - 1. With shift = l*q and fold_period = a, a
-    flat output (all entries equal) says exactly that h is orthogonal to
-    every nontrivial p-step modulation of translate(g, l*q); the common
-    entry is then inner(h, translate(g, shift)) / fold_period.
-    """
-    h = as_signal(h)
-    L = len(h)
-    g = as_signal(g, L)
-    if fold_period < 1 or L % fold_period:
-        raise ValueError(f"fold_period {fold_period} does not divide L={L}")
-    return _fold(h, g, shift, fold_period)
-
-
 def _fold(h: np.ndarray, g: np.ndarray, shift: int, fold_period: int) -> np.ndarray:
-    """periodized_correlation of two checked signals."""
+    """The periodized correlation of two checked signals: h * conj(translate(g, shift))
+    folded to a period dividing L, output(r) = sum_j (h * conj(T_shift g))(r + j*fold_period).
+    With shift = l*q and fold_period = a, a flat output says exactly that h is orthogonal
+    to every nontrivial p-step modulation of translate(g, l*q); the common entry is then
+    inner(h, translate(g, shift)) / a."""
     return (h * np.conj(translate(g, shift))).reshape(-1, fold_period).sum(axis=0)
 
 

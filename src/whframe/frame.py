@@ -150,20 +150,18 @@ def _forward(lat: GaborLattice, f: np.ndarray) -> np.ndarray:
 
 
 def _inverse(lat: GaborLattice, Z: np.ndarray) -> np.ndarray:
-    """The signals whose Zak blocks are Z, shape (..., c, d, p, q_w); one product with
-    _zak_matrix up to L/c = SHORT_DFT, np.fft above it."""
+    """The signals whose Zak blocks are Z, shape (..., c, d, p, q_w), one signal or a batch
+    alike; one product with _zak_matrix up to L/c = SHORT_DFT, the scatter by W and np.fft
+    above it."""
     c, W = _zak_layout(lat)
     batch, n = Z.shape[:-4], W.size
     if n <= SHORT_DFT:
         x = Z.reshape(*batch, c, n) @ _zak_matrix(lat, True) * (1 / sqrt(n))
-        return x.swapaxes(-1, -2).reshape(*batch, lat.L)
-    if not batch:  # one signal: the batched scatter's ellipsis and reshape cost more
-        spectra = np.empty((c, n), dtype=np.complex128)
-        spectra[:, W] = Z
-        return np.fft.ifft(spectra, norm="ortho").T.ravel()
-    spectra = np.empty((*batch, c, n), dtype=np.complex128)
-    spectra[..., W] = Z
-    return np.fft.ifft(spectra, norm="ortho").swapaxes(-1, -2).reshape(*batch, lat.L)
+    else:
+        x = np.empty((*batch, c, n), dtype=np.complex128)
+        x[..., W] = Z
+        x = np.fft.ifft(x, norm="ortho")
+    return x.swapaxes(-1, -2).reshape(*batch, lat.L)
 
 
 @lru_cache(maxsize=64)
@@ -396,8 +394,11 @@ def norm_audit(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> No
     at_bound = abs(nsq - B) <= tol * B
     max_overlap = orthogonal = None
     if at_bound:
-        # the adjoint lattice's adjoint products: [m, n] is <g, atom(m, n)>, (0, 0) is g
-        overlaps = np.abs(_analysis(GaborLattice(lat.L, lat.q, lat.p), g).products())
+        # the adjoint lattice's adjoint products: [m, n] is <g, atom(m, n)>, (0, 0) is g;
+        # read off g's blocks there, as the probe's in frame_energy_split, with no analysis
+        adj = GaborLattice(lat.L, lat.q, lat.p)
+        Z = analysis.Z if adj == lat else _forward(adj, g)  # a*b = L: its own adjoint
+        overlaps = np.abs(_dft(_walnut(adj, Z @ _ct(Z)), axis=-2))
         max_overlap = float(np.max(overlaps.ravel()[1:], initial=0.0))
         orthogonal = max_overlap <= tol * nsq
     return NormAudit(

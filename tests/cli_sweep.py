@@ -16,14 +16,15 @@ The steps also run one by one:
     python tests/cli_sweep.py run SRC DIR OUT     # per tree: SRC is its src directory
     python tests/cli_sweep.py compare A B         # exit 1 if any run differs
 
-`inputs` imports whframe from the tree this file sits in and writes 81 files:
+`inputs` imports whframe from the tree this file sits in and writes 82 files:
 for each of 18 lattices a Gaussian window and, where a*b <= L, a tight one,
 that tight one times 1e3 and a Gaussian zeroed on the coset a*Z_L; each with an
 alternate dual (frames) or a random h, a probe f and, at a*b = L, phases; one
-bare-lattice file per lattice; and the box, delta and impulse fixtures. `run`
-calls cli.main in process on every file with each of the 14 argument lists in
-VARIANTS, 1,134 runs, after checking that whframe was imported from SRC, and
-writes them to OUT with the SHA-256 of SRC/whframe/*.py. Each run records its
+bare-lattice file per lattice; and the box, delta, impulse and over-dense box
+fixtures. `run` calls cli.main in process on every file with each of the 14
+argument lists in VARIANTS, 1,148 runs, after checking that whframe was
+imported from SRC, and writes them to OUT with the SHA-256 of
+SRC/whframe/*.py. Each run records its
 exit code, the SHA-256 of its stdout and stderr, and that of stdout with every float
 token masked (JSON and CSV floats carry a `.` or an exponent; integers such as
 `dimension` stay). `compare` prints both hashes and warns when they are equal:
@@ -73,6 +74,8 @@ FIXTURES = {
     "box": (4, 2, 2, [[ROOT2_INV, 0], [ROOT2_INV, 0], [0, 0], [0, 0]]),
     "delta": (4, 1, 2, [[ROOT2_INV, 0], [0, 0], [0, 0], [0, 0]]),
     "impulse": (4, 2, 2, [[1, 0], [0, 0], [0, 0], [0, 0]]),
+    # density 2, no frame, and |g|^2 = B: norm_audit's overlaps on the adjoint lattice
+    "over-dense-box": (12, 4, 6, [[0.5, 0]] * 4 + [[0, 0]] * 8),
 }
 
 
@@ -85,13 +88,14 @@ def _write(directory: Path, name: str, payload: dict) -> None:
 
 
 def write_fixtures(directory) -> None:
-    """The three conftest windows, as the CLI reads them."""
+    """The three conftest windows and an over-dense box at its upper bound, as the CLI
+    reads them."""
     for name, (L, a, b, g) in FIXTURES.items():
         _write(Path(directory), name, {"L": L, "a": a, "b": b, "g": g})
 
 
 def write_inputs(directory) -> None:
-    """The full matrix: windows, bare lattices and fixtures (81 files)."""
+    """The full matrix: windows, bare lattices and fixtures (82 files)."""
     from whframe import GaborLattice, frame_bounds, make_alternate_dual, random_tight_generator
 
     directory = Path(directory)

@@ -713,13 +713,14 @@ def test_module_entry_point(impulse_path):
 
 
 def test_cli_sweep_on_the_fixtures(tmp_path):
-    # the sweep tool of cli_sweep.py, on the three fixtures: 14 argument lists each
+    # the sweep tool of cli_sweep.py, on the four fixtures: 14 argument lists each
     cli_sweep.write_fixtures(tmp_path)
     records = cli_sweep.run_matrix(tmp_path)
+    assert len(records) == 4 * len(cli_sweep.VARIANTS) == 56
     exits = {name: "".join(str(r["exit"]) for r in records if r["input"] == f"{name}.json")
-             for name in ("box", "delta", "impulse")}
+             for name in ("box", "delta", "impulse", "over-dense-box")}
     assert exits == {"box": "00002202000002", "delta": "00002202000002",
-                     "impulse": "11022202000012"}
+                     "impulse": "11022202000012", "over-dense-box": "11222202002012"}
     assert cli_sweep.differences(records, cli_sweep.run_matrix(tmp_path)) == []
     assert cli_sweep.differences(records, records[1:]) == ["box.json analyze"]
     changed = [dict(records[0], stdout="0" * 64), dict(records[1], exit=1), *records[2:]]

@@ -5,10 +5,10 @@ from whframe import (
     GaborLattice,
     adjoint_atom,
     correlation_profile,
+    cross_correlation_table,
     frame_energy_split,
     inner,
     norm_sq,
-    periodized_correlation,
     translate,
     walnut_upper_bound,
 )
@@ -59,31 +59,33 @@ class TestCorrelationProfile:
 
 
 class TestPeriodizedCorrelation:
+    """One period of row l of the (h, g) table, [l, :a], is the periodized correlation:
+    h * conj(T_{l*q} g) folded to period a."""
+
     def test_box_fold_is_flat(self, box):
         lat, g = box
-        assert np.allclose(periodized_correlation(g, g, 0, 2), [0.5, 0.5], atol=1e-12)
+        assert np.allclose(cross_correlation_table(lat, g, g)[0, :lat.a], [0.5, 0.5], atol=1e-12)
 
     def test_impulse_fold_is_not_flat(self, impulse):
         lat, g = impulse
-        assert np.allclose(periodized_correlation(g, g, 0, 2), [1.0, 0.0], atol=1e-12)
+        assert np.allclose(cross_correlation_table(lat, g, g)[0, :lat.a], [1.0, 0.0], atol=1e-12)
 
     def test_trivial_fold_is_inner_product(self):
+        # a = 1 folds to one entry; q = 2, so row 1 is the shift by 2
         rng = np.random.default_rng(12)
         h, g = random_signal(rng, 6), random_signal(rng, 6)
-        out = periodized_correlation(h, g, 2, 1)
+        lat = GaborLattice(6, 1, 3)
+        out = cross_correlation_table(lat, h, g)[1, :lat.a]
         assert out.shape == (1,)
         assert out[0] == pytest.approx(inner(h, translate(g, 2)))
 
-    def test_rejects_bad_period(self):
-        g = np.zeros(6, dtype=complex)
-        with pytest.raises(ValueError):
-            periodized_correlation(g, g, 0, 4)
-
     def test_entries_sum_to_inner_product(self):
+        # b = L, so q = 1 and row `shift` is the shift itself
         rng = np.random.default_rng(13)
         h, g = random_signal(rng, 12), random_signal(rng, 12)
         for shift, period in [(0, 3), (5, 4), (2, 6)]:
-            total = np.sum(periodized_correlation(h, g, shift, period))
+            table = cross_correlation_table(GaborLattice(12, period, 12), h, g)
+            total = np.sum(table[shift, :period])
             assert total == pytest.approx(inner(h, translate(g, shift)), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -98,8 +100,8 @@ class TestPeriodizedCorrelation:
             (lat_t, g_t, g_t),  # tight self-pair: flat for every l
         ]
         for lat, g, h in cases:
-            for l in range(lat.b):
-                fold = periodized_correlation(h, g, l * lat.q, lat.a)
+            folds = cross_correlation_table(lat, h, g)[:, :lat.a]
+            for l, fold in enumerate(folds):
                 flat = np.max(np.abs(fold - fold.mean())) <= 1e-9
                 orthogonal = all(
                     abs(inner(h, adjoint_atom(lat, g, k, l))) <= 1e-9

@@ -39,7 +39,6 @@ ENTRY_POINTS = {
     "decompose_dual": (lambda g, h: wf.decompose_dual(LAT, g, h), [L, L]),
     "cross_correlation_table": (lambda h, g: wf.cross_correlation_table(LAT, h, g), [L, L]),
     "correlation_profile": (lambda g: wf.correlation_profile(LAT, g), [L]),
-    "periodized_correlation": (lambda h, g: wf.periodized_correlation(h, g, LAT.q, LAT.a), [L, L]),
     "walnut_upper_bound": (lambda g: wf.walnut_upper_bound(LAT, g), [L]),
     "frame_energy_split": (lambda g, f: wf.frame_energy_split(LAT, g, f), [L, L]),
     "phases_from_tight_generator": (lambda g: wf.phases_from_tight_generator(CRIT, g), [L]),
