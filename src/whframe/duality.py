@@ -20,18 +20,21 @@ whose block rows lie in the row space of every block Z_g = U Sigma V^H,
 so W is C^p (x) null(Z_g) block by block. The frame analysis that gives
 S^-1 g holds V and null(Z_g) as p Householder reflectors H_j per block, and
 its free maps coefficients C onto the blocks as [0_p | C] H_p ... H_1 for
-make_alternate_dual and DualSpace; decompose_dual tests membership in W as
-||Z_free V||_F, and neither builds a basis. At critical density W = {0}, and
+make_alternate_dual and DualSpace (at p = 1 straight from V's column);
+decompose_dual tests membership in W as ||Z_free V||_F, and neither builds a basis.
+The certificates and decompose_dual read h's Zak blocks through the analysis, which
+keeps the last ones it took. At critical density W = {0}, and
 the canonical dual is the only dual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
-from .frame import DEFAULT_TOL, _FrameAnalysis, _analysis, _forward
+from .frame import DEFAULT_TOL, _FrameAnalysis, _analysis
 from .lattice import GaborLattice, as_signal
 
 __all__ = [
@@ -99,7 +102,8 @@ def wexler_raz_check(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
     Worst of |<h, g> - a*b/L| and |<h, adjoint_atom(k, l)>| over all
     (k, l) != (0, 0); at most tol means h is a dual.
     """
-    return _analysis(lat, g).residuals(_forward(lat, as_signal(h, lat.L)))[0]
+    analysis = _analysis(lat, g)
+    return analysis.residuals(analysis.blocks(h))[0]
 
 
 def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
@@ -108,7 +112,8 @@ def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> f
     The worst of |Hk[0] - b/L| and |Hk[k != 0]| over the table
     Hk[k][x] = sum_n h(x - n*a) conj(g(x - n*a - k*q)).
     """
-    return float(np.abs(_analysis(lat, g).gap(_forward(lat, as_signal(h, lat.L)))).max())
+    analysis = _analysis(lat, g)
+    return float(np.abs(analysis.gap(analysis.blocks(h))).max())
 
 
 def dual_space(lat: GaborLattice, g: np.ndarray) -> DualSpace:
@@ -122,8 +127,8 @@ def dual_space(lat: GaborLattice, g: np.ndarray) -> DualSpace:
 
 def make_alternate_dual(lat: GaborLattice, g: np.ndarray, coeffs) -> np.ndarray:
     """The dual window S^-1 g + sum_i coeffs[i] * complement_basis[i]."""
-    space = dual_space(lat, g)
-    return space.canonical_dual + space.analysis.free(as_signal(coeffs, space.dimension))
+    analysis = _analysis(lat, g)
+    return analysis.dual[1] + analysis.free(as_signal(coeffs, lat.L - lat.a * lat.b))
 
 
 def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray,
@@ -138,15 +143,15 @@ def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray,
     """
     analysis = _analysis(lat, g)
     Z_dual, dual = analysis.dual
-    h = as_signal(h, lat.L)
-    Zh = _forward(lat, h)
+    Zh = analysis.blocks(h)
     wr, walnut = analysis.residuals(Zh)
-    in_complement = float(np.linalg.norm((Zh - Z_dual) @ analysis.V)) <= tol
+    orbit = ((Zh - Z_dual) @ analysis.V).ravel()
+    in_complement = sqrt(np.vdot(orbit, orbit).real) <= tol
     return DualReport(
         is_dual=wr <= tol and walnut <= tol and in_complement,
         wexler_raz_residual=wr,
         walnut_residual=walnut,
         canonical_part=dual.copy(),
-        free_part=h - dual,
+        free_part=np.asarray(h, dtype=np.complex128) - dual,
         free_part_in_complement=in_complement,
     )

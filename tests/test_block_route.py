@@ -5,9 +5,11 @@ residuals are compared with dense linear algebra on the analysis array
 over a pool that covers critical, 2x and 4x oversampled, a = b = 1,
 over-dense and density-2/3 lattices, with Gaussian, tight, coset-zero and near-singular
 windows and windows whose Zak blocks lead with zero or negative entries. Also: the closed
-form of scalar Gram blocks against LAPACK, the one frame gate at its boundary, scale-aware
-tightness, dual decomposition at A/B = 1e-9, and the memory bounds of classify,
-dual_space, make_alternate_dual and decompose_dual.
+form of scalar Gram blocks against LAPACK, the one-row dual-space map against the
+reflector loop, the one frame gate at its boundary, scale-aware tightness, dual
+decomposition at A/B = 1e-9, the Newton-Schulz step on blocks ill-conditioned by
+themselves, and the memory bounds of classify, dual_space, make_alternate_dual and
+decompose_dual.
 """
 
 import json
@@ -93,6 +95,18 @@ def zak_near_singular(lat, rng, ratio, direction=False):
     else:
         block[0] *= np.sqrt(ratio * top / w[0])
     return _inverse(lat, Z)
+
+
+def householder_free(analysis, coeffs):
+    """free by the general loop over null's reflectors, the reference for its p = 1
+    closed form: [0_p | C] H_p ... H_1 on the blocks."""
+    u, w = analysis.null
+    p, q_w = u.shape[-2:]
+    Y = np.zeros((*coeffs.shape[:-1], *u.shape), dtype=complex)
+    Y[..., p:] = coeffs.reshape(*Y.shape[:-1], q_w - p)
+    for j in reversed(range(p)):
+        Y -= (Y @ u[..., j, :, None]) * (w[..., j, None, None] * np.conj(u[..., j, None, :]))
+    return _inverse(analysis.lat, Y)
 
 
 def pool():
@@ -297,6 +311,30 @@ def test_scalar_blocks_match_lapack(lat, kind, g):
         Y -= (Y @ u[..., j, :, None]) * (weights[..., j, None, None] * np.conj(u[..., j, None, :]))
     assert np.max(np.abs(Y @ _ct(Y) - eye)) <= 1e-12
     assert np.max(np.abs(_ct(Y[..., p:, :]) @ Y[..., p:, :] - (eye - V @ _ct(V)))) <= 1e-12
+    # free applies H_1 in closed form at p = 1 (every frame here): the loop's basis
+    basis = np.eye(lat.L - lat.a * lat.b, dtype=complex)
+    error = np.abs(analysis.free(basis) - householder_free(analysis, basis))
+    assert np.max(error, initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("L,a,b", [(48, 4, 6), (48, 4, 3), (120, 6, 10)])
+def test_one_row_dual_space_near_the_floor(L, a, b):
+    # p = 1 with one whole Zak block scaled to A/B = 1e-9: V's column of that block is
+    # the unit vector of a block 3e-5 times the others, and the closed form reads it
+    lat = GaborLattice(L, a, b)
+    rng = np.random.default_rng(31)
+    g = zak_near_singular(lat, rng, 1e-9)
+    bounds = frame_bounds(lat, g)
+    assert bounds.A / bounds.B == pytest.approx(1e-9, rel=1e-3)
+    space = dual_space(lat, g)
+    assert space.analysis.Z.shape[-2] == 1
+    basis = space.complement_basis
+    eye = np.eye(space.dimension, dtype=complex)
+    assert np.max(np.abs(basis @ _ct(basis) - eye)) <= 1e-12
+    assert np.max(np.abs(basis - householder_free(space.analysis, eye))) <= 1e-13
+    h = make_alternate_dual(lat, g, random_signal(rng, space.dimension))
+    assert decompose_dual(lat, g, h).is_dual
+    assert oracle_is_dual(lat, g, h)
 
 
 def test_near_singular_critical_dual_without_newton_schulz():
@@ -423,6 +461,18 @@ def test_near_singular_dual_decomposition(L, a, b, direction):
     report = decompose_dual(lat, g, h + 1e-6 * unit)
     assert not report.free_part_in_complement and not report.is_dual
     assert not oracle_is_dual(lat, g, h + 1e-6 * unit)
+
+
+@pytest.mark.parametrize("L,a,b", [(36, 4, 6), (60, 4, 10), (120, 8, 10)])
+def test_ill_conditioned_block_takes_the_newton_schulz_step(L, a, b):
+    # one 2 x 3 block at condition 5e-9 itself: read off the Gram eigenvectors alone, S^-1 g
+    # has a Wexler-Raz residual of 6e-11 to 1.4e-9 here, which tol = 1e-9 does not always
+    # see; the Newton-Schulz step squares the certificate's error, to 4e-14 to 1e-13
+    lat = GaborLattice(L, a, b)
+    g = zak_near_singular(lat, np.random.default_rng(L + a), 5e-9, direction=True)
+    bounds = frame_bounds(lat, g)
+    assert bounds.A / bounds.B == pytest.approx(5e-9, rel=1e-3)
+    assert wexler_raz_check(lat, g, canonical_dual(lat, g)) <= 1e-12
 
 
 @pytest.mark.parametrize("L,a,b", [(48, 4, 6), (48, 6, 8), (12, 1, 1), (48, 1, 1)])

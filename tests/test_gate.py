@@ -1,6 +1,7 @@
 """as_signal is the one gate for signals: every library entry point that
 takes a signal rejects NaN, +-inf, a wrong length and an (L, 1) array with
-the same ValueError the CLI reports, instead of computing NaN verdicts.
+the same ValueError the CLI reports, instead of computing NaN verdicts,
+also right after a valid call has cached the analysis of its window.
 """
 
 import inspect
@@ -99,3 +100,22 @@ def test_defective_signal_is_rejected(name, position, defect):
     with pytest.raises(ValueError, match="^signal ") as caught:
         call(*signals)
     assert type(caught.value) is ValueError  # the gate's error, not a verdict
+
+
+@pytest.mark.parametrize("name,position,defect", [
+    (name, i, defect)
+    for name, (_, lengths) in sorted(ENTRY_POINTS.items())
+    for i in range(len(lengths))
+    for defect in ("nan", "column")
+])
+def test_warm_cache_still_rejects(name, position, defect):
+    # the frame analysis and its second-signal memo are keyed by bytes after the shape
+    # test and scan for non-finite entries on a miss only: a NaN signal has other bytes,
+    # and a column holding the cached signal's bytes fails the shape test first
+    call, _ = ENTRY_POINTS[name]
+    signals = clean_signals(name)
+    call(*signals)
+    signals[position] = defective(signals[position], defect)
+    with pytest.raises(ValueError, match="^signal ") as caught:
+        call(*signals)
+    assert type(caught.value) is ValueError

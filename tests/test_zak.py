@@ -37,7 +37,7 @@ from whframe import (
     walnut_apply,
     wexler_raz_check,
 )
-from whframe import correlation, frame
+from whframe import correlation, duality, frame
 from whframe.cli import main
 from whframe.frame import _FrameAnalysis, _forward, _inverse
 from whframe.oracle import (
@@ -409,6 +409,45 @@ def test_cli_builds_one_analysis_per_window(builds, tmp_path, capsys, command, w
     assert builds == {"lattices": [lat, second][:windows], "tables": 0}
 
 
+@pytest.fixture
+def forwards(monkeypatch):
+    """The bytes of every signal given to _forward, in every module that holds it: one
+    that imported it by name would otherwise escape the count."""
+    seen = []
+
+    def counting(lat, f, _fn=frame._forward):
+        seen.append(f.tobytes())
+        return _fn(lat, f)
+
+    for module in (frame, correlation, duality):
+        if hasattr(module, "_forward"):
+            monkeypatch.setattr(module, "_forward", counting)
+    return seen
+
+
+def test_wh_identity_transforms_each_signal_once(builds, forwards, tmp_path, capsys):
+    # <f, S f> and the energy split both read the probe's blocks, which g's analysis keeps
+    lat = GaborLattice(48, 4, 6)
+    rng = np.random.default_rng(16)
+    g, f = (rng.standard_normal((lat.L, 2)).tolist() for _ in range(2))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"L": lat.L, "a": lat.a, "b": lat.b, "g": g, "f": f}))
+    assert main(["wh-identity", "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert (len(forwards), len(set(forwards))) == (2, 2)
+
+
+def test_reconstruct_transforms_h_once_for_many_f(builds, forwards):
+    # g's analysis keeps h's blocks; every f is a new signal and is transformed once
+    lat = GaborLattice(48, 4, 6)
+    rng = np.random.default_rng(30)
+    g, h = random_signal(rng, lat.L), random_signal(rng, lat.L)
+    for _ in range(3):
+        reconstruct(lat, g, h, random_signal(rng, lat.L))
+    assert len(forwards) == 5
+    assert builds == {"lattices": [lat], "tables": 0}
+
+
 def test_profile_takes_the_one_table(builds, tmp_path, capsys):
     lat = GaborLattice(48, 4, 6)
     g = np.random.default_rng(19).standard_normal((lat.L, 2))
@@ -464,6 +503,16 @@ def test_mutated_input_gives_the_fresh_result():
     assert np.array_equal(after, canonical_dual(lat, g.copy()))
     assert not np.allclose(after, before)
     assert frame_bounds(lat, g) == _FrameAnalysis(lat, g.copy()).bounds
+    # the second signal's blocks are keyed by its bytes too: h changed after the analysis
+    # of g read it is transformed afresh
+    rng = np.random.default_rng(28)
+    h, f = make_alternate_dual(lat, g, random_signal(rng, lat.L - lat.a * lat.b)), g[::-1].copy()
+    assert decompose_dual(lat, g, h).is_dual
+    h[5] += 1.0
+    after = reconstruct(lat, g, h, f)
+    frame._cached_analysis.cache_clear()
+    assert np.array_equal(after, reconstruct(lat, g, h.copy(), f))
+    assert not np.allclose(after, f)
 
 
 @pytest.mark.parametrize("call", [
