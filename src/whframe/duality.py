@@ -18,9 +18,9 @@ orthogonal complement of the span of the a*b adjoint atoms of g. On the
 Zak blocks of g (Zibulski-Zeevi 1997) that span is the set of windows
 whose block rows lie in the row space of every block Z_g = U Sigma V^H,
 so W is C^p (x) null(Z_g) block by block. The frame analysis that gives
-S^-1 g holds V and null(Z_g) as p Householder reflectors H_j per block, and
-its free maps coefficients C onto the blocks as [0_p | C] H_p ... H_1 for
-make_alternate_dual and DualSpace (at p = 1 straight from V's column);
+S^-1 g holds V, and its free maps coefficients C onto the blocks as
+[0_p | C] H_p ... H_1 for make_alternate_dual and DualSpace, with the p Householder
+reflectors H_j of each block read off V's columns in closed form;
 decompose_dual tests membership in W as ||Z_free V||_F, and neither builds a basis.
 The certificates and decompose_dual read h's Zak blocks through the analysis, which
 keeps the last ones it took. At critical density W = {0}, and
@@ -51,7 +51,8 @@ __all__ = [
 class DualSpace:
     """The duals S^-1 g + W of a frame window, both read from its frame analysis.
 
-    Coefficients C, shape (c, d, p, q_w - p), stand for the blocks C @ null^H.
+    Coefficients C, shape (c, d, p, q_w - p), stand for the blocks [0_p | C] H_p ... H_1,
+    whose rows lie in null(Z_g) (_FrameAnalysis.free).
     Flattened, coefficient i gives basis row i, which lies on the residue class
     mod c = gcd(a, M) named by C's first index; class_rows lists the basis by class."""
 

@@ -11,10 +11,10 @@ smaller Gram blocks, taken when the analysis is built, gives the bounds and, for
 each block's thin SVD U Sigma V^H, with sigma read as row norms of U^H Z_g
 (to eps*kappa; the eigenvalues hold sigma^2 only to eps*kappa^2) for S^-1 g,
 polished by one Newton-Schulz step, the polar factor S^-1/2 g
-(Janssen-Strohmer 2002) and V, whose p Householder reflectors per block
-give null(Z_g) and free, the dual-space map; scalar Gram blocks (min(p, q_w) = 1)
-take no eigh and no Newton-Schulz step (Strohmer 1998), and at p = 1 free applies each
-block's one reflector in closed form from V's unit column. O(L) memory; the Zak pair takes
+(Janssen-Strohmer 2002) and V, whose p Householder reflectors per block give free, the
+dual-space map onto C^p (x) null(Z_g), each in closed form from a unit column; scalar
+Gram blocks (min(p, q_w) = 1) take no eigh and no Newton-Schulz step (Strohmer 1998).
+O(L) memory; the Zak pair takes
 O(L log L) time, at most SHORT_DFT * L multiply-adds when it is a matrix product.
 S commutes with every lattice operator, so S^-1 g and S^-1/2 g generate Weyl-Heisenberg
 systems again. Reconstruction, sum <f, h_mn> g_mn, acts on the blocks as
@@ -26,8 +26,9 @@ lattice the Gabor coefficients. gap, the table less b/L at k = 0, is zero iff h 
 of g (at h = g, iff S = I), and residuals reads the Wexler-Raz and Walnut residuals off it,
 for tightness and duality alike. DFTs of length n <= SHORT_DFT = 32 are one product with a
 cached matrix of numpy's own twiddles: the Walnut-side ones (_dft) and, at n = L/c, the Zak
-pair, whose per-lattice matrix has W folded into its columns (rows, for _inverse), so the
-gather and scatter go too; numpy's 1/sqrt(n) follows the product, so integer sums stay exact.
+pair, whose per-lattice matrices, kept with W in _zak_layout, have W folded into their
+columns (rows, for _inverse), so the gather and scatter go too; numpy's 1/sqrt(n) follows
+the product, so integer sums stay exact.
 On a shared 2-CPU x86-64 VM (numpy 2.4, one BLAS thread) the product is the faster up to
 n = 48 on n x n tables, to about n = 24 on tables of 960 to 1920 columns, and for the Zak
 pair's c <= 120 rows up to n = 32 (even at 40 to 48). Longer DFTs call np.fft.
@@ -46,7 +47,7 @@ the spectrum, take its batched eigh too when min(p, q_w) >= 2. Its blocks(h) kee
 Zak blocks of the last second signal read (h, or the probe f of S f), keyed the same way,
 so a design job transforms h once and wh-identity its probe once. The analysis's g is a
 read-only copy of those bytes, its Z, S^-1 g and kept blocks are read-only, public
-functions return fresh arrays, and the entry stays resident, null(Z_g) reflectors included.
+functions return fresh arrays, and the entry stays resident; free keeps no reflectors.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ FRAME_FLOOR = 1e-10
 # Default tolerance of every verdict and certificate, and of the CLI's --tol.
 DEFAULT_TOL = 1e-9
 # Longest DFT taken as a matrix product: Walnut-side (_dft) and the Zak pair's L/c
-# (_zak_matrix); longer ones call np.fft.
+# (_zak_layout, read when a lattice's layout is built); longer ones call np.fft.
 SHORT_DFT = 32
 
 
@@ -114,9 +115,12 @@ class NormAudit:
     orthogonal_to_rest: bool | None
 
 
-@lru_cache(maxsize=64)
-def _zak_layout(lat: GaborLattice) -> tuple[int, np.ndarray]:
-    """c = gcd(a, M) and the gather W of shape (d, p, q_w), d = gcd(b, N).
+@lru_cache(maxsize=64)  # F and B at L/c <= SHORT_DFT: 32 KiB per lattice at most
+def _zak_layout(lat: GaborLattice) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """c = gcd(a, M), the gather W of shape (d, p, q_w), d = gcd(b, N), and the Zak pair's
+    matrices F and B up to L/c = SHORT_DFT (None above it), all read-only: numpy's length-L/c
+    DFT matrix, unscaled, with its columns in the order W for _forward, and its conjugate,
+    numpy's backward transform, with its rows in the order W for _inverse.
 
     W[e, i, k] is the unique w in Z_{L/c} with w = -(e + i*d) mod b and
     w = k*d - e mod N. L/c = lcm(b, N) and the two congruences agree mod d,
@@ -127,40 +131,33 @@ def _zak_layout(lat: GaborLattice) -> tuple[int, np.ndarray]:
     e = -w % d
     W = np.empty((d, lat.b // d, lat.N // d), dtype=np.intp)
     W[e, (-w - e) % lat.b // d, (w + e) % lat.N // d] = w
+    F = B = None
+    if w.size <= SHORT_DFT:
+        F = _dft_matrix(w.size, False)
+        F, B = F[:, W.ravel()], F[W.ravel()].conj()
+        F.flags.writeable = B.flags.writeable = False
     W.flags.writeable = False
-    return c, W
-
-
-@lru_cache(maxsize=128)  # L/c <= SHORT_DFT: 16 KiB per matrix at most
-def _zak_matrix(lat: GaborLattice, inverse: bool) -> np.ndarray:
-    """numpy's length-L/c DFT matrix, unscaled, with the gather W folded in, read-only: its
-    columns in the order W for _forward; for _inverse its conjugate, numpy's backward
-    transform, with the rows in the order W."""
-    W = _zak_layout(lat)[1].ravel()
-    F = _dft_matrix(W.size, False)
-    F = F[W].conj() if inverse else F[:, W]
-    F.flags.writeable = False
-    return F
+    return c, W, F, B
 
 
 def _forward(lat: GaborLattice, f: np.ndarray) -> np.ndarray:
     """Zak blocks (c, d, p, q_w) of a checked signal: its residue classes' DFTs, gathered by W;
-    one product with _zak_matrix up to L/c = SHORT_DFT, np.fft above it."""
-    c, W = _zak_layout(lat)
-    if W.size > SHORT_DFT:
+    one product with the layout's F up to L/c = SHORT_DFT, np.fft above it."""
+    c, W, F, _ = _zak_layout(lat)
+    if F is None:
         return np.fft.fft(f.reshape(-1, c).T, axis=1, norm="ortho")[:, W]
     # numpy's unitary scale 1/sqrt(n), applied after the sums as np.fft applies it
-    return (f.reshape(-1, c).T @ _zak_matrix(lat, False) * (1 / sqrt(W.size))).reshape(c, *W.shape)
+    return (f.reshape(-1, c).T @ F * (1 / sqrt(W.size))).reshape(c, *W.shape)
 
 
 def _inverse(lat: GaborLattice, Z: np.ndarray) -> np.ndarray:
     """The signals whose Zak blocks are Z, shape (..., c, d, p, q_w), one signal or a batch
-    alike; one product with _zak_matrix up to L/c = SHORT_DFT, the scatter by W and np.fft
+    alike; one product with the layout's B up to L/c = SHORT_DFT, the scatter by W and np.fft
     above it."""
-    c, W = _zak_layout(lat)
+    c, W, _, B = _zak_layout(lat)
     batch, n = Z.shape[:-4], W.size
-    if n <= SHORT_DFT:
-        x = Z.reshape(*batch, c, n) @ _zak_matrix(lat, True) * (1 / sqrt(n))
+    if B is not None:
+        x = Z.reshape(*batch, c, n) @ B * (1 / sqrt(n))
     else:
         x = np.empty((*batch, c, n), dtype=np.complex128)
         x[..., W] = Z
@@ -216,7 +213,7 @@ class _FrameAnalysis:
     """The Zak blocks of one (lattice, window) pair, shape (c, d, p, q_w), of a
     checked signal g, and their spectrum. Every frame quantity of the window reads them and
     one batched eigh of the smaller Gram blocks (none when they are 1 x 1), taken up front;
-    rows, V, null and dual are computed on first use."""
+    rows, V and dual are computed on first use."""
 
     def __init__(self, lat: GaborLattice, g: np.ndarray):
         self.lat, self.g, self.Z = lat, g, _forward(lat, g)
@@ -291,44 +288,28 @@ class _FrameAnalysis:
         R, sigma = self.rows
         return _ct(R) / sigma[..., None, :]
 
-    @cached_property
-    def null(self) -> tuple[np.ndarray, np.ndarray]:
-        """null(Z_g) as p Householder reflectors I - w_j u_j u_j^H per block (frames only):
-        H_j maps x, column j of H_{j-1} ... H_1 V from entry j on, onto e_j with u_j = x +
-        (x_0/|x_0|, 1 at x_0 = 0) ||x|| e_0; the last q_w - p columns of H_1 ... H_p span it.
-        free reads them at p >= 2 only."""
-        X, p = self.V, self.Z.shape[-2]
-        u, w = np.zeros(self.Z.shape, dtype=np.complex128), np.empty(self.Z.shape[:-1])
-        for j in range(p):
-            x = X[..., j:, j]
-            norm, lead = np.linalg.norm(x, axis=-1), np.abs(x[..., 0])
-            u[..., j, j:] = x
-            u[..., j, j] += norm * np.divide(x[..., 0], lead, out=np.ones_like(lead, complex),
-                                             where=lead > 0)
-            w[..., j] = 1 / (norm * (norm + lead))  # 2 / ||u_j||^2
-            if j + 1 < p:  # H_j X, for the columns still to reflect
-                X = X - w[..., j, None, None] * u[..., j, :, None] * (_ct(u[..., j, :, None]) @ X)
-        return u, w
-
     def free(self, coeffs: np.ndarray) -> np.ndarray:
-        """The signals with blocks C @ null^H = [0_p | C] H_p ... H_1, coeffs (..., n) read as
-        C (..., c, d, p, q_w - p): the map of coefficients onto W (frames only). At p = 1
-        the one reflector per block is null's H_1, read off V's unit column x in closed form:
-        [0 | C] H_1 = [0 | C] - w (C x_{1:}) u^H, ||x|| = 1."""
-        p, q_w = self.Z.shape[2:]
-        C = coeffs.reshape(*coeffs.shape[:-1], *self.Z.shape[:-1], q_w - p)
-        if p == 1:
-            x = self.V[..., 0]
+        """The signals with blocks [0_p | C] H_p ... H_1, coeffs (..., n) read as C (..., c, d,
+        p, q_w - p): the map of coefficients onto W = C^p (x) null(Z_g) (frames only). H_j maps
+        x, column j of H_{j-1} ... H_1 V from entry j on, onto a multiple of e_j; x is a unit
+        vector, as the H_i are unitary and V's columns orthonormal, so H_j = I - u u^H / (1 +
+        |x_0|) with u = x + (x_0/|x_0|, 1 at x_0 = 0) e_0. A forward pass reflects the columns
+        still to reflect, and a reverse pass maps [0 | T] to [0 | T] - (T x_{1:}) u^H / (1 +
+        |x_0|), one step per reflector."""
+        X, steps = self.V, []
+        for _ in range(X.shape[-1]):
+            x = X[..., 0]
             lead, uH, zero = np.abs(x[..., 0]), x.conj(), x[..., 0] == 0
             uH[..., 0] += (uH[..., 0] + zero) / (lead + zero)  # the lead's phase, 1 at 0
-            Y = (C @ x[..., 1:, None]) * (uH[..., None, :] / -(1 + lead)[..., None, None])
-            Y[..., 1:] += C
-        else:
-            u, w = self.null
-            Y = np.zeros((*coeffs.shape[:-1], *u.shape), dtype=np.complex128)
-            Y[..., p:] = C
-            for j in reversed(range(p)):
-                Y -= (Y @ u[..., j, :, None]) * (w[..., j, None, None] * np.conj(u[..., j, None, :]))
+            # x_{1:} as a column and the row r = -u^H / (1 + |x_0|): H_j = I + u r
+            steps.append((x[..., 1:, None], uH[..., None, :] / -(1 + lead)[..., None, None]))
+            if X.shape[-1] > 1:  # H_j on the columns still to reflect, from entry j + 1 on
+                X = X[..., 1:, 1:] + x[..., 1:, None] * (steps[-1][1] @ X[..., 1:])
+        p, q_w = self.Z.shape[2:]
+        Y = coeffs.reshape(*coeffs.shape[:-1], *self.Z.shape[:-1], q_w - p)
+        for x, r in reversed(steps):  # Y = T: [0 | T] H_j
+            T, Y = Y, (Y @ x) * r
+            Y[..., 1:] += T
         return _inverse(self.lat, Y)
 
     def power(self, power: float) -> np.ndarray:

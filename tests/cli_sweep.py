@@ -16,13 +16,13 @@ The steps also run one by one:
     python tests/cli_sweep.py run SRC DIR OUT     # per tree: SRC is its src directory
     python tests/cli_sweep.py compare A B         # exit 1 if any run differs
 
-`inputs` imports whframe from the tree this file sits in and writes 82 files:
-for each of 18 lattices a Gaussian window and, where a*b <= L, a tight one,
+`inputs` imports whframe from the tree this file sits in and writes 87 files:
+for each of 19 lattices a Gaussian window and, where a*b <= L, a tight one,
 that tight one times 1e3 and a Gaussian zeroed on the coset a*Z_L; each with an
 alternate dual (frames) or a random h, a probe f and, at a*b = L, phases; one
 bare-lattice file per lattice; and the box, delta, impulse and over-dense box
 fixtures. `run` calls cli.main in process on every file with each of the 14
-argument lists in VARIANTS, 1,148 runs, after checking that whframe was
+argument lists in VARIANTS, 1,218 runs, after checking that whframe was
 imported from SRC, and writes them to OUT with the SHA-256 of
 SRC/whframe/*.py. Each run records its
 exit code, the SHA-256 of its stdout and stderr, and that of stdout with every float
@@ -56,6 +56,7 @@ LATTICES = (
     (4, 2, 2), (4, 1, 2), (12, 3, 4), (48, 6, 8), (48, 4, 6), (120, 6, 10),
     (48, 4, 3), (48, 1, 1), (36, 4, 6), (60, 4, 10), (48, 8, 12), (120, 12, 20),
     (16, 2, 4), (24, 4, 6), (60, 6, 10), (96, 8, 12), (12, 4, 6), (960, 960, 960),
+    (30, 3, 6),  # 3 x 5 Zak blocks: three Householder reflectors per block
 )
 
 # spelled out, not read from whframe.cli, so that both trees run the same argument lists
@@ -95,7 +96,7 @@ def write_fixtures(directory) -> None:
 
 
 def write_inputs(directory) -> None:
-    """The full matrix: windows, bare lattices and fixtures (82 files)."""
+    """The full matrix: windows, bare lattices and fixtures (87 files)."""
     from whframe import GaborLattice, frame_bounds, make_alternate_dual, random_tight_generator
 
     directory = Path(directory)

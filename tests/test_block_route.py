@@ -3,13 +3,13 @@
 Bounds, spectra, duals, tight windows, reconstructions and the adjoint
 residuals are compared with dense linear algebra on the analysis array
 over a pool that covers critical, 2x and 4x oversampled, a = b = 1,
-over-dense and density-2/3 lattices, with Gaussian, tight, coset-zero and near-singular
-windows and windows whose Zak blocks lead with zero or negative entries. Also: the closed
-form of scalar Gram blocks against LAPACK, the one-row dual-space map against the
-reflector loop, the one frame gate at its boundary, scale-aware tightness, dual
-decomposition at A/B = 1e-9, the Newton-Schulz step on blocks ill-conditioned by
-themselves, and the memory bounds of classify, dual_space, make_alternate_dual and
-decompose_dual.
+over-dense and density-2/3, 3/5 and 4/5 lattices, with Gaussian, tight, coset-zero and
+near-singular windows and windows whose Zak blocks lead with zero or negative entries.
+Also: the closed form of scalar Gram blocks against LAPACK, the dual-space map against the
+Householder loop with computed norms at every block shape, the one frame gate at its
+boundary, scale-aware tightness, dual decomposition at A/B = 1e-9, the Newton-Schulz step
+on blocks ill-conditioned by themselves, and the memory bounds of classify, dual_space,
+make_alternate_dual and decompose_dual.
 """
 
 import json
@@ -61,6 +61,7 @@ LATTICES = [
     (12, 1, 1), (48, 1, 1),                 # a = b = 1
     (12, 4, 6), (16, 8, 4),                 # over-dense
     (36, 4, 6), (60, 4, 10),                # density 2/3: 2 x 3 Zak blocks
+    (30, 3, 6), (120, 24, 4),               # density 3/5 and 4/5: 3 x 5 and 4 x 5
 ]
 
 
@@ -98,10 +99,20 @@ def zak_near_singular(lat, rng, ratio, direction=False):
 
 
 def householder_free(analysis, coeffs):
-    """free by the general loop over null's reflectors, the reference for its p = 1
-    closed form: [0_p | C] H_p ... H_1 on the blocks."""
-    u, w = analysis.null
-    p, q_w = u.shape[-2:]
+    """free by the general Householder loop, the reference for its closed form: p reflectors
+    I - w_j u_j u_j^H per block, with computed norms: H_j maps x, column j of H_{j-1} ... H_1 V
+    from entry j on, onto e_j with u_j = x + (x_0/|x_0|, 1 at x_0 = 0) ||x|| e_0; then
+    [0_p | C] H_p ... H_1 on the blocks."""
+    X, (p, q_w) = analysis.V, analysis.Z.shape[-2:]
+    u, w = np.zeros(analysis.Z.shape, dtype=complex), np.empty(analysis.Z.shape[:-1])
+    for j in range(p):
+        x = X[..., j:, j]
+        norm, lead = np.linalg.norm(x, axis=-1), np.abs(x[..., 0])
+        u[..., j, j:] = x
+        u[..., j, j] += norm * np.divide(x[..., 0], lead, out=np.ones_like(lead, complex),
+                                         where=lead > 0)
+        w[..., j] = 1 / (norm * (norm + lead))  # 2 / ||u_j||^2
+        X = X - w[..., j, None, None] * u[..., j, :, None] * (_ct(u[..., j, :, None]) @ X)
     Y = np.zeros((*coeffs.shape[:-1], *u.shape), dtype=complex)
     Y[..., p:] = coeffs.reshape(*Y.shape[:-1], q_w - p)
     for j in reversed(range(p)):
@@ -258,6 +269,15 @@ class TestAgainstOracle:
         assert oracle_is_dual(lat, g, h)
         assert decompose_dual(lat, g, h).is_dual
 
+    def test_free_is_the_householder_loop(self, lat, kind, g):
+        # one closed-form step per reflector against the loop with computed norms
+        analysis = _FrameAnalysis(lat, g)
+        if not analysis.bounds.is_frame:
+            return
+        eye = np.eye(lat.L - lat.a * lat.b, dtype=complex)
+        error = np.abs(analysis.free(eye) - householder_free(analysis, eye))
+        assert np.max(error, initial=0.0) <= 1e-13
+
     def test_tight_constant(self, lat, kind, g):
         report, c = classify(lat, g), oracle_tight_constant(lat, g)
         assert (report.tight_constant is None) == (c is None)
@@ -267,6 +287,12 @@ class TestAgainstOracle:
 
 # min(p, q_w) = 1: critical (1 x 1), integer-oversampled (1 x q_w) and over-dense (p x 1)
 SCALAR = [(lat, kind, g) for lat, kind, g in POOL if min(_FrameAnalysis(lat, g).Z.shape[-2:]) == 1]
+
+
+def test_pool_has_frames_up_to_four_reflectors():
+    # p = 3 and 4 take two and three forward updates in free
+    shapes = {_FrameAnalysis(lat, g).Z.shape[-2] for lat, _, g in POOL if frame_bounds(lat, g).is_frame}
+    assert shapes == {1, 2, 3, 4}
 
 
 def test_scalar_pool_covers_every_shape():
@@ -302,19 +328,17 @@ def test_scalar_blocks_match_lapack(lat, kind, g):
     assert rel_err(analysis.dual[1], _inverse(lat, Zh)) <= 1e-12
     V = _ct(R) / sigma[..., None, :]
     assert rel_err(analysis.V, V) <= 1e-12
-    # the reflectors map I to a unitary H_p ... H_1 whose last q_w - p rows span null(Z_g)
-    u, weights = analysis.null
+    # free's q_w - p rows on each block, [0_p | I] H_p ... H_1 read back through _forward,
+    # are orthonormal and their projector is I - V V^H: with V^H they make a unitary, and
+    # they span null(Z_g)
     p, q_w = Z.shape[-2:]
-    eye = np.eye(q_w, dtype=complex)
-    Y = np.broadcast_to(eye, (*Z.shape[:-2], q_w, q_w)).copy()
-    for j in reversed(range(p)):
-        Y -= (Y @ u[..., j, :, None]) * (weights[..., j, None, None] * np.conj(u[..., j, None, :]))
-    assert np.max(np.abs(Y @ _ct(Y) - eye)) <= 1e-12
-    assert np.max(np.abs(_ct(Y[..., p:, :]) @ Y[..., p:, :] - (eye - V @ _ct(V)))) <= 1e-12
-    # free applies H_1 in closed form at p = 1 (every frame here): the loop's basis
-    basis = np.eye(lat.L - lat.a * lat.b, dtype=complex)
-    error = np.abs(analysis.free(basis) - householder_free(analysis, basis))
-    assert np.max(error, initial=0.0) <= 1e-13
+    n = q_w - p
+    coeffs = np.broadcast_to(np.eye(n)[:, None, None, None], (n, *Z.shape[:-1], n))
+    signals = analysis.free(coeffs.reshape(n, lat.L - lat.a * lat.b))
+    rows = np.reshape([_forward(lat, s)[..., 0, :] for s in signals], (n, *Z.shape[:-2], q_w))
+    rows = np.moveaxis(rows, 0, -2)
+    assert np.max(np.abs(rows @ _ct(rows) - np.eye(n)), initial=0.0) <= 1e-12
+    assert np.max(np.abs(_ct(rows) @ rows - (np.eye(q_w) - V @ _ct(V)))) <= 1e-12
 
 
 @pytest.mark.parametrize("L,a,b", [(48, 4, 6), (48, 4, 3), (120, 6, 10)])

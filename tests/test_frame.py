@@ -231,6 +231,24 @@ class TestNormAudit:
         assert audit.within_bound and audit.at_bound
         assert audit.orthogonal_to_rest is True
 
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6])
+    def test_overlap_with_the_first_translate_is_audited(self, tol):
+        # at (12, 6, 6) the four atoms are g, T_6 g, E_6 g and E_6 T_6 g, and N = 2, so
+        # T_a g is its own mirror T_{-a} g: overlap index 1 is the only one that sees it.
+        # g = (e_0 + e_1)/sqrt2 + eps (e_6 + e_7)/sqrt2 has |g|^2 = 1 + eps^2,
+        # <g, T_6 g> = 2 eps, every other overlap 0 and B = (1 + eps)^2. With
+        # 2 eps / (1 + eps^2) = tol (1 + tol/2), g is within tol of the bound and its overlap
+        # is past tol, each by about tol^2/2; at tol = 1e-9 that is below float64 resolution
+        lat = GaborLattice(12, 6, 6)
+        t = tol * (1 + tol / 2)
+        eps = t / (1 + np.sqrt(1 - t * t))
+        g = np.zeros(12, dtype=complex)
+        g[[0, 1]], g[[6, 7]] = 2**-0.5, eps * 2**-0.5
+        audit = norm_audit(lat, g, tol)
+        assert audit.at_bound and audit.orthogonal_to_rest is False
+        assert audit.max_overlap == pytest.approx(2 * eps, rel=1e-9)
+        assert abs(inner(g, gabor_atom(lat, g, 0, 1))) == pytest.approx(2 * eps, rel=1e-9)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_norm_never_exceeds_bound(self, seed):
         rng = np.random.default_rng(seed)

@@ -190,8 +190,8 @@ def test_only_the_oracle_lists_atoms():
 
 def test_only_the_oracle_takes_svds():
     """Frame spectra come from one eigh of the Zak Gram blocks in _FrameAnalysis,
-    the one eigh call site; null(Z_g) comes from Householder reflectors of V, no QR
-    is taken, and an SVD is the oracle's independent route."""
+    the one eigh call site; free reads the Householder reflectors of null(Z_g) off V in
+    closed form, no QR is taken, and an SVD is the oracle's independent route."""
     factorizations = []
     for path in sorted(Path(whframe.__file__).parent.glob("*.py")):
         if path.name == "oracle.py":

@@ -8,6 +8,7 @@ the brute-force oracle shares none of that code.
 import ast
 import json
 import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -183,10 +184,10 @@ def builds(monkeypatch):
 @pytest.fixture
 def calls(monkeypatch):
     """Names of the np.fft.fft, np.fft.ifft and np.linalg.eigh calls made and of the
-    matrix-route DFTs ("matrix": frame._dft at lengths up to SHORT_DFT, and the Zak pair
-    through frame._zak_matrix at L/c up to SHORT_DFT), the analysis cache cleared. Every
-    DFT matrix is built first, and the Zak matrices are gathered from them, so no build
-    counts as a call."""
+    matrix-route DFTs ("matrix": frame._dft at lengths up to SHORT_DFT, and each _forward
+    and _inverse whose lattice layout holds the Zak pair's matrices, at L/c up to
+    SHORT_DFT), the analysis cache cleared. Every DFT matrix is built first, and the Zak
+    matrices are gathered from them, so no build counts as a call."""
     frame._cached_analysis.cache_clear()
     for n in range(1, frame.SHORT_DFT + 1):
         for inverse in (False, True):
@@ -203,12 +204,16 @@ def calls(monkeypatch):
             seen.append("matrix")
         return _fn(x, axis, inverse)
 
-    def counting_zak(lat, inverse, _fn=frame._zak_matrix):
-        seen.append("matrix")
-        return _fn(lat, inverse)
+    def counting_zak(_fn):
+        def counting(lat, x):
+            if frame._zak_layout(lat)[2] is not None:
+                seen.append("matrix")
+            return _fn(lat, x)
+        return counting
 
     monkeypatch.setattr(frame, "_dft", counting_dft)
-    monkeypatch.setattr(frame, "_zak_matrix", counting_zak)
+    for name in ("_forward", "_inverse"):
+        monkeypatch.setattr(frame, name, counting_zak(getattr(frame, name)))
     return seen
 
 
@@ -281,12 +286,14 @@ def test_walnut_side_is_the_same_on_either_route(monkeypatch, shape):
                                      ((96, 6, 32), 32), ((960, 24, 20), 40), ((128, 2, 64), 64)],
                          ids=["n-1", "n-2", "n-4", "n-32-over-dense", "n-40", "n-64"])
 def test_zak_pair_is_the_same_on_either_route(monkeypatch, shape, n):
-    # n = L/c, the residue-class length: up to SHORT_DFT one product with the cached
+    # n = L/c, the residue-class length: up to SHORT_DFT one product with the layout's
     # matrix, numpy's DFT with W folded in, and above it np.fft; one signal, a batch of
     # three and an empty batch (the dual space at a*b = L has no rows)
     lat = GaborLattice(*shape)
-    c, W = frame._zak_layout(lat)
+    c, W, F, B = frame._zak_layout(lat)
     assert lat.L // c == W.size == n
+    assert (F is None) == (B is None) == (n > frame.SHORT_DFT)
+    layout = frame._zak_layout.__wrapped__
     rng = np.random.default_rng(29)
     f = random_signal(rng, lat.L)
     Z = random_signal(rng, 3 * lat.L).reshape(3, *_forward(lat, f).shape)
@@ -294,6 +301,8 @@ def test_zak_pair_is_the_same_on_either_route(monkeypatch, shape, n):
     routes = []
     for short in (frame.SHORT_DFT, 0, 64):  # as shipped, all np.fft, all matrices
         monkeypatch.setattr(frame, "SHORT_DFT", short)
+        # a fresh layout cache: the cutoff is read when a lattice's layout is built
+        monkeypatch.setattr(frame, "_zak_layout", lru_cache(maxsize=None)(layout))
         routes.append((_forward(lat, f), _inverse(lat, Z[0]), _inverse(lat, Z),
                        _inverse(lat, Z[:0])))
     for route in routes[1:]:
@@ -308,8 +317,9 @@ def test_zak_pair_is_the_same_on_either_route(monkeypatch, shape, n):
     assert np.max(np.abs(shipped[2][0] - shipped[1])) <= eps * np.max(np.abs(shipped[1]))
     assert np.array_equal(fft[2][0], fft[1])
     # the inverse's matrix is the conjugate of numpy's forward twiddles: its backward DFT
+    # (read from the all-matrices layout, so at every n here)
     backward = np.fft.ifft(np.eye(n), axis=1, norm="forward")[W.ravel()]
-    assert np.array_equal(frame._zak_matrix(lat, True), backward)
+    assert np.array_equal(frame._zak_layout(lat)[3], backward)
 
 
 @pytest.mark.parametrize("call,shape,count,eighs", [
@@ -362,7 +372,7 @@ def test_decompose_dual_builds_one_analysis_and_no_table(builds):
 
 
 def test_alternate_dual_builds_one_analysis_and_no_fold(builds):
-    # S^-1 g and the null bases of W come from the one analysis
+    # S^-1 g and the basis of W come from the one analysis
     lat = GaborLattice(48, 4, 6)
     rng = np.random.default_rng(20)
     make_alternate_dual(lat, random_signal(rng, lat.L), random_signal(rng, lat.L - lat.a * lat.b))
@@ -478,7 +488,7 @@ def design_job(lat, monkeypatch):
 
 def test_design_job_builds_one_analysis_and_one_dual(builds, calls, monkeypatch):
     # one block FFT of g and one S^-1 g; p = 1, so the 1 x 1 Gram blocks take no
-    # eigh, and null(Z_g) comes from Householder reflectors, with no eigh either
+    # eigh, and free's Householder reflectors, read off V, take no eigh either
     lat = GaborLattice(48, 4, 6)
     assert design_job(lat, monkeypatch) == [-1.0]
     assert builds == {"lattices": [lat], "tables": 0}
@@ -573,14 +583,3 @@ def test_only_the_cache_builds_analyses():
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_FrameAnalysis":
                     builders.append((path.name, getattr(top, "name", None)))
     assert builders == [("frame.py", "_cached_analysis")]
-
-
-def test_only_the_frame_analysis_reads_its_reflectors():
-    """null(Z_g)'s Householder format is known to frame.py alone: others call free."""
-    readers = []
-    for path in sorted(Path(frame.__file__).parent.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Attribute) and node.attr == "null":
-                    readers.append((path.name, getattr(top, "name", None)))
-    assert readers == [("frame.py", "_FrameAnalysis")]
