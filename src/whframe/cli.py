@@ -69,6 +69,8 @@ class JobConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.format not in (None, "json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.format!r}")
         if self.format == "csv" and self.command != "profile":

@@ -414,10 +414,10 @@ def norm_audit(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> No
     at_bound = abs(nsq - B) <= tol * B
     max_overlap = orthogonal = None
     if at_bound:
-        # the adjoint lattice's adjoint products: [m, n] is <g, atom(m, n)>, (0, 0) is g;
-        # read off g's blocks there, as the probe's in frame_energy_split, with no analysis
-        adj = GaborLattice(lat.L, lat.q, lat.p)
-        Z = analysis.Z if adj == lat else _forward(adj, g)  # a*b = L: its own adjoint
+        # the adjoint lattice's adjoint products: [m, n] is <g, atom(m, n)>, (0, 0) is g; read
+        # off g's blocks there at every density, as the probe's in frame_energy_split, no analysis
+        adj = lat.adjoint()
+        Z = _forward(adj, g)
         overlaps = np.abs(_dft(_walnut(adj, Z @ _ct(Z)), axis=-2))
         max_overlap = float(np.max(overlaps.ravel()[1:], initial=0.0))
         orthogonal = max_overlap <= tol * nsq

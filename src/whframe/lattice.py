@@ -89,6 +89,10 @@ class GaborLattice:
         """The lattice with the roles of a and b exchanged (Fourier side)."""
         return GaborLattice(self.L, self.b, self.a)
 
+    def adjoint(self) -> "GaborLattice":
+        """The adjoint lattice (L, q, p), whose atoms are the adjoint atoms E_{kp} T_{lq} g."""
+        return GaborLattice(self.L, self.q, self.p)
+
 
 def as_signal(values, L: int | None = None) -> np.ndarray:
     """Coerce to a 1-d complex128 array, checking finiteness and length."""
@@ -128,7 +132,7 @@ def adjoint_atom(lat: GaborLattice, g: np.ndarray, k: int, l: int) -> np.ndarray
     output(x) = exp(2*pi*i*k*p*x/L) * g(x - l*q). Indices reduce mod a and
     mod b respectively.
     """
-    adj = GaborLattice(lat.L, lat.q, lat.p)
+    adj = lat.adjoint()
     return modulate(translate(as_signal(g, lat.L), l % adj.N * adj.a), k % adj.M, adj)
 
 

@@ -3,7 +3,7 @@
 Everything here is assembled from explicit atom enumeration and dense
 linear algebra only; nothing is shared with the correlation or frame
 modules, so agreement between the two routes is evidence, not tautology.
-Every window passes as_signal, once per analysis array or through adjoint_atom.
+Every window passes as_signal once per analysis array.
 Cost is O(L^3) and worse by design.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frame import DEFAULT_TOL, FrameBounds
-from .lattice import GaborLattice, adjoint_atom, as_signal, inner, modulate, norm_sq, translate
+from .lattice import GaborLattice, as_signal, modulate, norm_sq, translate
 
 __all__ = [
     "analysis_array",
@@ -74,15 +74,11 @@ def oracle_tight_constant(lat: GaborLattice, g: np.ndarray,
 
 
 def oracle_adjoint_gram(lat: GaborLattice, g: np.ndarray) -> np.ndarray:
-    """Gram matrix of all a*b adjoint atoms by direct inner products.
+    """Gram matrix of all a*b adjoint atoms, the atoms of the adjoint lattice.
 
     Entry [i, j] with i = k*b + l, j = k2*b + l2 is
-    <adjoint_atom(k, l), adjoint_atom(k2, l2)>.
+    <adjoint_atom(k, l), adjoint_atom(k2, l2)>: row k*b + l of the adjoint
+    lattice's analysis array is the conjugate of adjoint_atom(k, l).
     """
-    atoms = [adjoint_atom(lat, g, k, l) for k in range(lat.a) for l in range(lat.b)]
-    n = len(atoms)
-    gram = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            gram[i, j] = inner(atoms[i], atoms[j])
-    return gram
+    A = analysis_array(lat.adjoint(), g)
+    return np.conj(A) @ A.T

@@ -213,7 +213,7 @@ class TestAgainstOracle:
         # analysis_array rows are m-major, and so are the adjoint products
         # on the adjoint lattice
         dense = (analysis_array(lat, g) @ f).reshape(lat.M, lat.N)
-        analysis = _FrameAnalysis(GaborLattice(lat.L, lat.q, lat.p), g)
+        analysis = _FrameAnalysis(lat.adjoint(), g)
         products = analysis.products(_forward(analysis.lat, f))
         assert rel_err(products, dense) <= REL
 

@@ -441,6 +441,15 @@ class TestMakeTight:
         assert outputs[0] == outputs[1]
         capsys.readouterr()
 
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        # the check runs before any input is read, so numpy never sees the seed
+        path = write_input(tmp_path, "lat.json", {"L": 8, "a": 2, "b": 2})
+        assert main(["make-tight", "--input", path, "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "message": "seed must be a non-negative integer, got -1"}
+
     def test_non_finite_phases_exit_2(self, tmp_path, capsys):
         path = tmp_path / "phases.json"
         path.write_text('{"L": 4, "a": 2, "b": 2, "phases": [[NaN, 0.0], [0.0, Infinity]]}')
@@ -609,6 +618,10 @@ class TestJobConfig:
     def test_rejects_non_finite_tol(self, tol):
         with pytest.raises(ValueError, match="finite and positive"):
             JobConfig(command="check-tight", input_path="x.json", tol=tol)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            JobConfig(command="make-tight", input_path="x.json", seed=-1)
 
     def test_rejects_bad_format(self):
         with pytest.raises(ValueError):

@@ -18,8 +18,10 @@ from whframe import (
     tighten,
     walnut_apply,
 )
-from whframe.oracle import oracle_frame_bounds
-from helpers import oracle_operator, random_frame, random_lattice, random_signal
+from whframe.oracle import analysis_array, oracle_frame_bounds
+from helpers import lattice_pool, oracle_operator, random_frame, random_lattice, random_signal
+
+AUDIT_POOL = lattice_pool((12, 24, 36, 48, 60))  # 425 lattices
 
 
 def atom_operator(lat, m, n):
@@ -248,6 +250,17 @@ class TestNormAudit:
         assert audit.at_bound and audit.orthogonal_to_rest is False
         assert audit.max_overlap == pytest.approx(2 * eps, rel=1e-9)
         assert abs(inner(g, gabor_atom(lat, g, 0, 1))) == pytest.approx(2 * eps, rel=1e-9)
+
+    @pytest.mark.parametrize("lat", AUDIT_POOL, ids=lambda lat: f"{lat.L}-{lat.a}-{lat.b}")
+    def test_overlaps_are_the_oracle_s(self, lat):
+        # at tol = 1 every window is at the bound (0 <= |g|^2 <= B), so the overlaps are read
+        # on the adjoint lattice at every density; they are <g, atom(m, n)>, the rows of the
+        # oracle's analysis array applied to g, row 0 being (0, 0)
+        g = random_signal(np.random.default_rng([lat.L, lat.a, lat.b]), lat.L)
+        audit = norm_audit(lat, g, tol=1.0)
+        expected = float(np.max(np.abs(analysis_array(lat, g) @ g)[1:], initial=0.0))
+        assert audit.at_bound
+        assert abs(audit.max_overlap - expected) <= 1e-12 * expected
 
     @pytest.mark.parametrize("seed", range(6))
     def test_norm_never_exceeds_bound(self, seed):

@@ -167,10 +167,13 @@ class TestAdjointAtom:
     @given(lat=lattices(), k=st.integers(-100, 100), l=st.integers(-100, 100),
            seed=st.integers(0, 2**32 - 1))
     def test_is_the_atom_of_the_adjoint_lattice(self, lat, k, l, seed):
-        # E_{kp} T_{lq} g is the (k, l) Gabor atom of (L, q, p), bit for bit
+        # E_{kp} T_{lq} g is the (k, l) Gabor atom of (L, q, p), bit for bit; the adjoint
+        # of the adjoint is the lattice, and a lattice is its own adjoint iff a*b = L
         g = random_signal(np.random.default_rng(seed), lat.L)
-        adjoint = GaborLattice(lat.L, lat.q, lat.p)
+        adjoint = lat.adjoint()
         assert (lat.q, lat.p) == (lat.M, lat.N) == (adjoint.a, adjoint.b)
+        assert adjoint.L == lat.L and adjoint.adjoint() == lat
+        assert (adjoint == lat) == (lat.a * lat.b == lat.L)
         assert adjoint_atom(lat, g, k, l).tobytes() == gabor_atom(adjoint, g, k, l).tobytes()
 
 

@@ -399,8 +399,9 @@ CLI_RUNS = [  # command, windows analyzed, window: random, critical tight or ove
 def test_cli_builds_one_analysis_per_window(builds, tmp_path, capsys, command, windows, window):
     # fourier-dual analyzes g and dft(g) on the swapped lattice; wh-identity reads its
     # probe f off its Zak blocks; norm_audit at the bound reads g's blocks on the adjoint
-    # lattice (L, q, p) with no analysis of it: the box 1/2 on [0, 4) at (12, 4, 6) is no
-    # frame (density 2) but has |g|^2 = B, and a critical lattice is its own adjoint
+    # lattice (L, q, p) with no analysis of it, at every density: the box 1/2 on [0, 4) at
+    # (12, 4, 6) is no frame (density 2) but has |g|^2 = B, and a critical lattice, its own
+    # adjoint, transforms g there again rather than read its analysis's blocks
     lat = {"critical-tight": GaborLattice(12, 3, 4),
            "over-dense-at-bound": GaborLattice(12, 4, 6)}.get(window, GaborLattice(48, 4, 6))
     rng = np.random.default_rng(16)
