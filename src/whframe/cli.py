@@ -44,7 +44,7 @@ import numpy as np
 
 from .correlation import correlation_profile, frame_energy_split, walnut_upper_bound
 from .duality import decompose_dual, dual_space, wexler_raz_check
-from .frame import DEFAULT_TOL, frame_bounds, norm_audit, walnut_apply
+from .frame import DEFAULT_TOL, _check_tol, frame_bounds, norm_audit, walnut_apply
 from .lattice import GaborLattice, as_signal, dft, norm_sq
 from .synthesis import PhaseSpec, random_tight_generator, tight_generator_from_phases
 from .tightness import classify, density_diagnostics
@@ -67,8 +67,7 @@ class JobConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        _check_tol(self.tol)
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.format not in (None, "json", "csv"):

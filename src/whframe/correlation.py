@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import _analysis, _ct, _walnut
+from .frame import _analysis, _blocks, _ct, _walnut
 from .lattice import GaborLattice, as_signal, translate
 
 __all__ = [
@@ -94,10 +94,9 @@ def frame_energy_split(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> tuple
     k and b-k terms are conjugate. Both Gk and the lagged products of f
     are a-periodic folds, the (g, g) and (f, f) Walnut tables G, so summing
     over one period, lag row k is M * sum_s G_gg[s, k] * conj(G_ff[s, k]).
-    G_ff is read off f's Zak blocks: f is a probe, not a window, so it gets no analysis; the
-    blocks come through g's analysis, which keeps them from a walnut_apply on the same f.
+    G_ff is read off f's Zak blocks: f is a probe, not a window, so it gets no analysis; its
+    blocks come through frame._blocks, which keeps them from a walnut_apply on the same f.
     """
-    analysis = _analysis(lat, g)
-    G_gg, Zf = analysis.walnut(), analysis.blocks(f)
+    G_gg, Zf = _analysis(lat, g).walnut(), _blocks(lat, f)
     rows = lat.M * np.sum(G_gg * np.conj(_walnut(lat, Zf @ _ct(Zf))), axis=0)
     return float(rows[0].real), complex(np.sum(rows[1:]))

@@ -22,9 +22,9 @@ S^-1 g holds V, and its free maps coefficients C onto the blocks as
 [0_p | C] H_p ... H_1 for make_alternate_dual and DualSpace, with the p Householder
 reflectors H_j of each block read off V's columns in closed form;
 decompose_dual tests membership in W as ||Z_free V||_F, and neither builds a basis.
-The certificates and decompose_dual read h's Zak blocks through the analysis, which
-keeps the last ones it took. At critical density W = {0}, and
-the canonical dual is the only dual.
+The certificates and decompose_dual read h's Zak blocks through frame._blocks, which
+keeps the last ones it took, whatever window they were read against. At critical
+density W = {0}, and the canonical dual is the only dual.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from math import sqrt
 
 import numpy as np
 
-from .frame import DEFAULT_TOL, _FrameAnalysis, _analysis
+from .frame import DEFAULT_TOL, _FrameAnalysis, _analysis, _blocks, _check_tol
 from .lattice import GaborLattice, as_signal
 
 __all__ = [
@@ -103,8 +103,7 @@ def wexler_raz_check(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
     Worst of |<h, g> - a*b/L| and |<h, adjoint_atom(k, l)>| over all
     (k, l) != (0, 0); at most tol means h is a dual.
     """
-    analysis = _analysis(lat, g)
-    return analysis.residuals(analysis.blocks(h))[0]
+    return _analysis(lat, g).residuals(_blocks(lat, h))[0]
 
 
 def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> float:
@@ -113,8 +112,7 @@ def dual_conditions_walnut(lat: GaborLattice, g: np.ndarray, h: np.ndarray) -> f
     The worst of |Hk[0] - b/L| and |Hk[k != 0]| over the table
     Hk[k][x] = sum_n h(x - n*a) conj(g(x - n*a - k*q)).
     """
-    analysis = _analysis(lat, g)
-    return float(np.abs(analysis.gap(analysis.blocks(h))).max())
+    return float(np.abs(_analysis(lat, g).gap(_blocks(lat, h))).max())
 
 
 def dual_space(lat: GaborLattice, g: np.ndarray) -> DualSpace:
@@ -142,9 +140,10 @@ def decompose_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray,
     Z_h - Z_{S^-1 g} and V = R^H Sigma^-1 from the thin SVD Z_g = U Sigma V^H; the
     blocks are a unitary image of the signal, so its norm is ||Z_free V||_F.
     """
+    _check_tol(tol)
     analysis = _analysis(lat, g)
     Z_dual, dual = analysis.dual
-    Zh = analysis.blocks(h)
+    Zh = _blocks(lat, h)
     wr, walnut = analysis.residuals(Zh)
     orbit = ((Zh - Z_dual) @ analysis.V).ravel()
     in_complement = sqrt(np.vdot(orbit, orbit).real) <= tol

@@ -36,18 +36,21 @@ pair's c <= 120 rows up to n = 32 (even at 40 to 48). Longer DFTs call np.fft.
 Near-singular operators are rejected rather than inverted: one gate,
 A > FRAME_FLOOR * B, decides "frame" everywhere in the package.
 
-Every entry point reads its analysis from a one-entry cache keyed by the
-lattice and the bytes of the window after as_signal's shape test, so calls on one window
-share one block FFT, at most one eigh and one S^-1 g (only 1.2% of dual-design and 3.4%
-of verdict-ladder benchmark ops find the previous op's window); as_signal's finiteness
-scan runs once per build, as equal bytes have passed it. An analysis builds its spectrum
-(Gram blocks, eigenvalues, bounds) up front and the rest on first use, so
-wexler_raz_check, dual_conditions_walnut, reconstruct and walnut_apply, which never read
-the spectrum, take its batched eigh too when min(p, q_w) >= 2. Its blocks(h) keeps the
-Zak blocks of the last second signal read (h, or the probe f of S f), keyed the same way,
-so a design job transforms h once and wh-identity its probe once. The analysis's g is a
-read-only copy of those bytes, its Z, S^-1 g and kept blocks are read-only, public
-functions return fresh arrays, and the entry stays resident; free keeps no reflectors.
+What the package keeps between calls, _memo keeps: one entry per builder, the lattice and
+the bytes of a signal after as_signal's shape test with what the builder made of them.
+_analysis keeps the window's analysis, so calls on one window share one block FFT, at most
+one eigh and one S^-1 g (only 1.2% of dual-design and 3.4% of verdict-ladder benchmark ops
+find the previous op's window), and _blocks the Zak blocks of the last second signal read
+(h, or the probe f of S f), so a design job transforms h once and wh-identity its probe
+once; Z_h depends on the lattice and h alone, so those outlive a change of window. The same
+lattice object matches by identity and the bytes by one compare, with no hash; as_signal's
+finiteness scan runs on a miss only, before the old entry goes, as equal bytes have passed
+it, so a rejected signal leaves the entry in place. An analysis builds its spectrum (Gram
+blocks, eigenvalues, bounds) up front and the rest on first use, so wexler_raz_check,
+dual_conditions_walnut, reconstruct and walnut_apply, which never read the spectrum, take
+its batched eigh too when min(p, q_w) >= 2. The analysis's g is a read-only copy of the kept
+bytes, every Zak block array and S^-1 g are read-only, public functions return fresh arrays,
+and the entries stay resident; free keeps no reflectors.
 """
 
 from __future__ import annotations
@@ -141,13 +144,15 @@ def _zak_layout(lat: GaborLattice) -> tuple[int, np.ndarray, np.ndarray | None, 
 
 
 def _forward(lat: GaborLattice, f: np.ndarray) -> np.ndarray:
-    """Zak blocks (c, d, p, q_w) of a checked signal: its residue classes' DFTs, gathered by W;
-    one product with the layout's F up to L/c = SHORT_DFT, np.fft above it."""
+    """Read-only Zak blocks (c, d, p, q_w) of a checked signal: its residue classes' DFTs,
+    gathered by W; one product with the layout's F up to L/c = SHORT_DFT, np.fft above it."""
     c, W, F, _ = _zak_layout(lat)
     if F is None:
-        return np.fft.fft(f.reshape(-1, c).T, axis=1, norm="ortho")[:, W]
-    # numpy's unitary scale 1/sqrt(n), applied after the sums as np.fft applies it
-    return (f.reshape(-1, c).T @ F * (1 / sqrt(W.size))).reshape(c, *W.shape)
+        Z = np.fft.fft(f.reshape(-1, c).T, axis=1, norm="ortho")[:, W]
+    else:  # numpy's unitary scale 1/sqrt(n), applied after the sums as np.fft applies it
+        Z = (f.reshape(-1, c).T @ F * (1 / sqrt(W.size))).reshape(c, *W.shape)
+    Z.flags.writeable = False
+    return Z
 
 
 def _inverse(lat: GaborLattice, Z: np.ndarray) -> np.ndarray:
@@ -217,8 +222,6 @@ class _FrameAnalysis:
 
     def __init__(self, lat: GaborLattice, g: np.ndarray):
         self.lat, self.g, self.Z = lat, g, _forward(lat, g)
-        self.Z.flags.writeable = False
-        self.last = None, None  # blocks' memo: bytes and Zak blocks of the last second signal
         p, q_w = self.Z.shape[2:]
         self.scale, self.wide = lat.L / p, p <= q_w  # wide: density <= 1
         # the smaller Gram blocks, Z_g Z_g^H when wide, else Z_g^H Z_g; their eigenvalues
@@ -239,23 +242,14 @@ class _FrameAnalysis:
         R = _ct(self.eig[1]) @ self.Z
         return R, np.linalg.norm(R, axis=-1)
 
-    def blocks(self, h) -> np.ndarray:
-        """The read-only Zak blocks of a second signal h, kept for the next call on the same
-        bytes, which then neither scans nor transforms h again."""
-        h = _shaped(h, self.lat.L)
-        if self.last[0] != (raw := h.tobytes()):
-            self.last = raw, _forward(self.lat, as_signal(h))
-            self.last[1].flags.writeable = False
-        return self.last[1]
-
     def apply(self, f: np.ndarray | None = None, h: np.ndarray | None = None) -> np.ndarray:
         """S f (S g by default); with a second window h, sum <f, h_mn> g_mn.
         (L/p) Z_g Z_h^H Z_f, multiplied through the smaller Gram. Without h, f is the
-        second signal read through blocks; with h, h is, and f goes straight to _forward."""
+        second signal read through _blocks; with h, h is, and f goes straight to _forward."""
         if h is None:
-            Zf, ZhH = (self.Z if f is None else self.blocks(f)), None
+            Zf, ZhH = (self.Z if f is None else _blocks(self.lat, f)), None
         else:
-            Zf, ZhH = _forward(self.lat, as_signal(f, self.lat.L)), _ct(self.blocks(h))
+            Zf, ZhH = _forward(self.lat, as_signal(f, self.lat.L)), _ct(_blocks(self.lat, h))
         if self.wide:
             G = self.gram if h is None else self.Z @ ZhH
             return _inverse(self.lat, self.scale * (G * Zf if G.shape[-1] == 1 else G @ Zf))
@@ -334,27 +328,37 @@ class _FrameAnalysis:
         return Zh, h
 
 
-@lru_cache(maxsize=1)
-def _cached_analysis(lat: GaborLattice, raw: bytes) -> _FrameAnalysis:
-    """The one place an analysis is built, on the key's bytes once they pass as_signal's
-    finiteness scan; the old entry goes then, so a rejected window leaves it cached."""
-    g = as_signal(np.frombuffer(raw, dtype=np.complex128))
-    _cached_analysis.cache_clear()
-    return _FrameAnalysis(lat, g)
+_kept = {}  # build -> ((lattice, bytes), result): _memo's one entry per builder
+
+
+def _memo(build, lat: GaborLattice, s):
+    """build(lat, s), kept for the next call on the same lattice and bytes. s passes
+    as_signal's shape test on every call and its finiteness scan on a miss only, before the
+    old entry goes, so a rejected signal leaves it in place; build reads a read-only copy of
+    the bytes. The one place the package keeps a result between calls."""
+    s = np.asarray(s, dtype=np.complex128)
+    if s.shape != (lat.L,):
+        as_signal(s, lat.L)  # raises the gate's shape error
+    key, kept = (lat, s.tobytes()), _kept.get(build, (None, None))
+    if kept[0] != key:  # a miss: scan, build, and return this call's entry
+        kept = _kept[build] = key, build(lat, as_signal(np.frombuffer(key[1], np.complex128)))
+    return kept[1]
 
 
 def _analysis(lat: GaborLattice, g: np.ndarray) -> _FrameAnalysis:
-    """The frame analysis of (lat, g). g passes as_signal's shape test on every call and its
-    finiteness scan on a miss only: bytes equal to the cached entry's have passed it."""
-    return _cached_analysis(lat, _shaped(g, lat.L).tobytes())
+    """The frame analysis of the window g on lat."""
+    return _memo(_FrameAnalysis, lat, g)
 
 
-def _shaped(s, L: int) -> np.ndarray:
-    """s as complex128 once it passes as_signal's shape test; a cache miss scans the rest."""
-    s = np.asarray(s, dtype=np.complex128)
-    if s.shape != (L,):
-        as_signal(s, L)  # raises the gate's shape error
-    return s
+def _blocks(lat: GaborLattice, s: np.ndarray) -> np.ndarray:
+    """The read-only Zak blocks of a second signal s (h, or the probe f of S f) on lat."""
+    return _memo(_forward, lat, s)
+
+
+def _check_tol(tol: float) -> None:
+    """The one check of every tolerance, the CLI's too: finite and positive."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
 def _ct(Z: np.ndarray) -> np.ndarray:
@@ -409,6 +413,7 @@ def norm_audit(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> No
     Both comparisons are relative (to B and to norm_sq(g)), so no verdict
     changes when g is scaled.
     """
+    _check_tol(tol)
     analysis = _analysis(lat, g)
     g, B, nsq = analysis.g, analysis.bounds.B, norm_sq(analysis.g)
     at_bound = abs(nsq - B) <= tol * B

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LatticeError, NotAFrameError, NotTightError
-from .frame import DEFAULT_TOL, tighten
+from .frame import DEFAULT_TOL, _check_tol, tighten
 from .lattice import GaborLattice, as_signal
 
 __all__ = [
@@ -87,6 +87,7 @@ def phases_from_tight_generator(lat: GaborLattice, g: np.ndarray,
     L**-0.5 by more than tol. Phases are returned mod 1, so round trips
     reproduce g but not necessarily the original phase representatives.
     """
+    _check_tol(tol)
     if not lat.is_critical:
         raise LatticeError(
             f"phase extraction needs a*b == L, got {lat.a}*{lat.b} != {lat.L}"

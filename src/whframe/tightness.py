@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import DEFAULT_TOL, FrameBounds, _analysis
+from .frame import DEFAULT_TOL, FrameBounds, _analysis, _check_tol
 from .lattice import GaborLattice, dft, norm_sq
 
 __all__ = [
@@ -100,9 +100,9 @@ check_cond_orthogonal_system = check_cond_adjoint
 def check_cond_fixed_point(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """Fixed-point residual ||S g - g||_inf, floored at 1 for non-frames: classify's
     cond5_residual. S g = g alone does not rule out a singular S (the window can sit
-    in a unit-eigenvalue eigenspace while S has a kernel). tol is unused: the gate is
-    FRAME_FLOOR, as everywhere."""
-    return classify(lat, g).cond5_residual
+    in a unit-eigenvalue eigenspace while S has a kernel). tol is checked but moves no
+    residual: the gate is FRAME_FLOOR, as everywhere."""
+    return classify(lat, g, tol).cond5_residual
 
 
 def classify(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> TightnessReport:
@@ -111,6 +111,7 @@ def classify(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> Tigh
     Tight means a frame with B - A <= tol * B, so no verdict changes when g is scaled.
     Criteria (2)-(4) are the residuals of the window's frame analysis.
     """
+    _check_tol(tol)
     analysis = _analysis(lat, g)
     g, bounds = analysis.g, analysis.bounds
     is_frame = bounds.is_frame

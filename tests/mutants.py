@@ -71,6 +71,12 @@ MUTANTS = (
            "return np.conj(A) @ A.T", "return A @ A.T"),
     Mutant("audit-lattice", FRAME,  # norm_audit's blocks on the lattice, not its adjoint
            "Z = _forward(adj, g)", "Z = _forward(lat, g)"),
+    Mutant("memo-bytes-only", FRAME,  # the memo's compare without the lattice
+           "    if kept[0] != key:", "    if kept[0] is None or kept[0][1] != key[1]:"),
+    Mutant("memo-evict-first", FRAME,  # the kept entry dropped before the finiteness scan
+           "    if kept[0] != key:  # a miss: scan, build, and return this call's entry\n",
+           "    if kept[0] != key:  # a miss: scan, build, and return this call's entry\n"
+           "        _kept.pop(build, None)\n"),
 )
 
 # expected to survive, and why

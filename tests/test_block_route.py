@@ -514,7 +514,7 @@ def test_dual_space_memory():
     # the a*b x L atom stack's SVD would hold an L x L Vh alone
     lat = GaborLattice(480, 16, 15)
     g = random_signal(np.random.default_rng(13), lat.L)
-    frame._cached_analysis.cache_clear()  # a cold call: the analysis is built under the trace
+    frame._kept.clear()  # a cold call: the analysis is built under the trace
     tracemalloc.start()
     try:
         space = dual_space(lat, g)
@@ -528,7 +528,7 @@ def test_dual_space_memory():
     g = random_signal(np.random.default_rng(13), lat.L)
     coeffs = random_signal(np.random.default_rng(14), lat.L - lat.a * lat.b)
     for call, args in ((dual_space, ()), (make_alternate_dual, (coeffs,))):
-        frame._cached_analysis.cache_clear()  # each call builds its analysis under the trace
+        frame._kept.clear()  # each call builds its analysis under the trace
         tracemalloc.start()
         try:
             call(lat, g, *args)
@@ -544,7 +544,7 @@ def test_decompose_dual_memory():
     rng = np.random.default_rng(19)
     g = random_signal(rng, lat.L)
     h = make_alternate_dual(lat, g, random_signal(rng, lat.L - lat.a * lat.b))
-    frame._cached_analysis.cache_clear()  # decompose_dual builds its own analysis
+    frame._kept.clear()  # decompose_dual builds its own analysis
     tracemalloc.start()
     try:
         report = decompose_dual(lat, g, h)
@@ -558,7 +558,7 @@ def test_decompose_dual_memory():
 def test_classify_memory_at_unit_steps():
     lat = GaborLattice(960, 1, 1)
     g = random_signal(np.random.default_rng(10), lat.L)
-    frame._cached_analysis.cache_clear()
+    frame._kept.clear()
     tracemalloc.start()
     try:
         report = classify(lat, g)

@@ -2,6 +2,8 @@
 takes a signal rejects NaN, +-inf, a wrong length and an (L, 1) array with
 the same ValueError the CLI reports, instead of computing NaN verdicts,
 also right after a valid call has cached the analysis of its window.
+Every function that takes a tolerance rejects one that is not finite and
+positive with the CLI's --tol message.
 """
 
 import inspect
@@ -11,6 +13,7 @@ import pytest
 
 import whframe as wf
 from whframe import GaborLattice, oracle
+from whframe.cli import JobConfig
 from helpers import random_signal
 
 LAT = GaborLattice(12, 2, 3)  # oversampled frame lattice: W has dimension 6
@@ -119,3 +122,27 @@ def test_warm_cache_still_rejects(name, position, defect):
     with pytest.raises(ValueError, match="^signal ") as caught:
         call(*signals)
     assert type(caught.value) is ValueError
+
+
+TIGHT = wf.random_tight_generator(CRIT, 0)  # a tight window passes at every tolerance
+TOLERANT = {  # name: call with a tolerance
+    "classify": lambda tol: wf.classify(CRIT, TIGHT, tol),
+    "check_cond_fixed_point": lambda tol: wf.check_cond_fixed_point(CRIT, TIGHT, tol),
+    "fourier_dual_check": lambda tol: wf.fourier_dual_check(CRIT, TIGHT, tol),
+    "norm_audit": lambda tol: wf.norm_audit(CRIT, TIGHT, tol),
+    "decompose_dual": lambda tol: wf.decompose_dual(CRIT, TIGHT, TIGHT, tol),
+    "phases_from_tight_generator": lambda tol: wf.phases_from_tight_generator(CRIT, TIGHT, tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOLERANT))
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_bad_tolerance_is_rejected_with_the_cli_message(name, tol):
+    # without the check, nan called the tight window's norm out of bound and its dual no
+    # dual, and -1 called it not tight
+    with pytest.raises(ValueError) as cli:
+        JobConfig("check-tight", "x.json", tol=tol)
+    with pytest.raises(ValueError) as library:
+        TOLERANT[name](tol)
+    assert type(library.value) is ValueError
+    assert str(library.value) == str(cli.value) == f"tol must be finite and positive, got {tol}"

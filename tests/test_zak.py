@@ -94,7 +94,7 @@ def test_over_dense_lower_bound_is_exactly_zero(L, a, b):
 
 
 def traced_peak(call):
-    frame._cached_analysis.cache_clear()  # a cold call: the analysis is built under the trace
+    frame._kept.clear()  # a cold call: the analysis is built under the trace
     tracemalloc.start()
     try:
         call()
@@ -162,9 +162,9 @@ def test_profile_holds_no_more_than_its_table(a, b):
 @pytest.fixture
 def builds(monkeypatch):
     """Lattices of every _FrameAnalysis built, and the count of (b, L)
-    correlation tables, which only the profile takes. The analysis cache
-    starts empty, so every analysis a test needs is counted."""
-    frame._cached_analysis.cache_clear()
+    correlation tables, which only the profile takes. The memo starts empty, so every
+    analysis a test needs is counted."""
+    frame._kept.clear()
     seen = {"lattices": [], "tables": 0}
     init, table = _FrameAnalysis.__init__, correlation.cross_correlation_table
 
@@ -186,9 +186,9 @@ def calls(monkeypatch):
     """Names of the np.fft.fft, np.fft.ifft and np.linalg.eigh calls made and of the
     matrix-route DFTs ("matrix": frame._dft at lengths up to SHORT_DFT, and each _forward
     and _inverse whose lattice layout holds the Zak pair's matrices, at L/c up to
-    SHORT_DFT), the analysis cache cleared. Every DFT matrix is built first, and the Zak
+    SHORT_DFT), the memo cleared. Every DFT matrix is built first, and the Zak
     matrices are gathered from them, so no build counts as a call."""
-    frame._cached_analysis.cache_clear()
+    frame._kept.clear()
     for n in range(1, frame.SHORT_DFT + 1):
         for inverse in (False, True):
             frame._dft_matrix(n, inverse)
@@ -366,7 +366,7 @@ def test_decompose_dual_builds_one_analysis_and_no_table(builds):
     g = random_signal(rng, lat.L)
     h = make_alternate_dual(lat, g, random_signal(rng, lat.L - lat.a * lat.b))
     builds["lattices"].clear()
-    frame._cached_analysis.cache_clear()  # decompose_dual on its own
+    frame._kept.clear()  # decompose_dual on its own
     assert decompose_dual(lat, g, h).is_dual
     assert builds == {"lattices": [lat], "tables": 0}
 
@@ -437,7 +437,7 @@ def forwards(monkeypatch):
 
 
 def test_wh_identity_transforms_each_signal_once(builds, forwards, tmp_path, capsys):
-    # <f, S f> and the energy split both read the probe's blocks, which g's analysis keeps
+    # <f, S f> and the energy split both read the probe's blocks, which the memo keeps
     lat = GaborLattice(48, 4, 6)
     rng = np.random.default_rng(16)
     g, f = (rng.standard_normal((lat.L, 2)).tolist() for _ in range(2))
@@ -449,7 +449,7 @@ def test_wh_identity_transforms_each_signal_once(builds, forwards, tmp_path, cap
 
 
 def test_reconstruct_transforms_h_once_for_many_f(builds, forwards):
-    # g's analysis keeps h's blocks; every f is a new signal and is transformed once
+    # the memo keeps h's blocks; every f is a new signal and is transformed once
     lat = GaborLattice(48, 4, 6)
     rng = np.random.default_rng(30)
     g, h = random_signal(rng, lat.L), random_signal(rng, lat.L)
@@ -469,8 +469,8 @@ def test_profile_takes_the_one_table(builds, tmp_path, capsys):
     assert builds == {"lattices": [], "tables": 1}
 
 
-# The one-entry analysis cache: keyed by the lattice and the window's bytes,
-# read-only inside, fresh arrays out.
+# The memo: one entry per builder, the window's analysis and the second signal's blocks,
+# keyed by the lattice and the signal's bytes, read-only inside, fresh arrays out.
 
 def design_job(lat, monkeypatch):
     """Canonical dual, dual space, alternate dual, decomposition and reconstruction
@@ -510,7 +510,7 @@ def test_mutated_input_gives_the_fresh_result():
     g *= 2.0
     g[0] += 1.0
     after = canonical_dual(lat, g)
-    frame._cached_analysis.cache_clear()
+    frame._kept.clear()
     assert np.array_equal(after, canonical_dual(lat, g.copy()))
     assert not np.allclose(after, before)
     assert frame_bounds(lat, g) == _FrameAnalysis(lat, g.copy()).bounds
@@ -521,7 +521,7 @@ def test_mutated_input_gives_the_fresh_result():
     assert decompose_dual(lat, g, h).is_dual
     h[5] += 1.0
     after = reconstruct(lat, g, h, f)
-    frame._cached_analysis.cache_clear()
+    frame._kept.clear()
     assert np.array_equal(after, reconstruct(lat, g, h.copy(), f))
     assert not np.allclose(after, f)
 
@@ -565,22 +565,67 @@ def test_non_contiguous_view_matches_its_copy(builds):
 
 
 def test_cached_analysis_is_read_only():
+    # the kept second-signal blocks too: decompose_dual reads h's, and the next call on h
+    # returns the kept array
     lat = GaborLattice(48, 4, 6)
-    space = dual_space(lat, random_signal(np.random.default_rng(26), lat.L))
+    rng = np.random.default_rng(26)
+    g = random_signal(rng, lat.L)
+    space = dual_space(lat, g)
     analysis = space.analysis
-    for array in (analysis.g, analysis.Z, *analysis.dual):
+    h = make_alternate_dual(lat, g, random_signal(rng, lat.L - lat.a * lat.b))
+    assert decompose_dual(lat, g, h).is_dual
+    kept = frame._blocks(lat, h)
+    assert frame._blocks(lat, h) is kept
+    for array in (analysis.g, analysis.Z, *analysis.dual, kept):
         with pytest.raises(ValueError):
             array[0] = 0.0
     assert space.canonical_dual.flags.writeable
     assert not np.shares_memory(space.canonical_dual, analysis.dual[1])
 
 
+@pytest.mark.parametrize("position", [0, 1], ids=["window", "second-signal"])
+@pytest.mark.parametrize("defect", ["nan", "column"])
+def test_rejected_signal_leaves_the_kept_entry(builds, calls, position, defect):
+    # a NaN has other bytes: the miss scans and raises before the entry goes; a column
+    # holds the kept bytes and fails the shape test before the compare. Either way the
+    # next good call builds no analysis and transforms nothing: at L/c = 40 every Zak
+    # transform is an np.fft call, and the Walnut side's DFTs are matrix products
+    lat = GaborLattice(960, 24, 20)
+    rng = np.random.default_rng(31)
+    signals = [random_signal(rng, lat.L), random_signal(rng, lat.L)]
+    good = wexler_raz_check(lat, *signals)
+    assert (builds["lattices"], calls.count("fft")) == ([lat], 2)
+    bad = list(signals)
+    bad[position] = signals[position].reshape(-1, 1) if defect == "column" else signals[position].copy()
+    if defect == "nan":
+        bad[position][1] = np.nan
+    with pytest.raises(ValueError, match="^signal "):
+        wexler_raz_check(lat, *bad)
+    builds["lattices"].clear()
+    calls.clear()
+    assert wexler_raz_check(lat, *signals) == good
+    assert (builds["lattices"], calls.count("fft"), calls.count("ifft")) == ([], 0, 0)
+
+
+def test_second_signal_blocks_outlive_a_change_of_window(builds, forwards):
+    # Z_h depends on the lattice and h alone: h checked against two windows is transformed once
+    lat = GaborLattice(48, 4, 6)
+    rng = np.random.default_rng(32)
+    g1, g2, h = (random_signal(rng, lat.L) for _ in range(3))
+    for g in (g1, g2, g1):
+        wexler_raz_check(lat, g, h)
+    assert builds["lattices"] == [lat] * 3
+    assert forwards.count(h.tobytes()) == 1
+
+
 def test_only_the_cache_builds_analyses():
-    """Every entry point reads its _FrameAnalysis from frame._cached_analysis."""
+    """Every entry point reads its _FrameAnalysis through frame._analysis, which hands the
+    class to the memo; no other line calls it or passes it on."""
     builders = []
     for path in sorted(Path(frame.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_FrameAnalysis":
+                if isinstance(node, ast.Call) and "_FrameAnalysis" in {
+                        getattr(name, "id", None) for name in (node.func, *node.args)}:
                     builders.append((path.name, getattr(top, "name", None)))
-    assert builders == [("frame.py", "_cached_analysis")]
+    assert builders == [("frame.py", "_analysis")]
