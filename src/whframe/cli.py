@@ -42,9 +42,10 @@ from math import gcd
 
 import numpy as np
 
-from .correlation import correlation_profile, frame_energy_split, walnut_upper_bound
+from .correlation import correlation_profile
 from .duality import decompose_dual, dual_space, wexler_raz_check
-from .frame import DEFAULT_TOL, _check_tol, frame_bounds, norm_audit, walnut_apply
+from .frame import (DEFAULT_TOL, _check_tol, frame_bounds, frame_energy_split, norm_audit,
+                    walnut_apply, walnut_upper_bound)
 from .lattice import GaborLattice, as_signal, dft, norm_sq
 from .synthesis import PhaseSpec, random_tight_generator, tight_generator_from_phases
 from .tightness import classify, density_diagnostics

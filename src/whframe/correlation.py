@@ -12,9 +12,9 @@ is the lattice power profile; it is real, nonnegative and a-periodic.
 Row k of the table is _fold(g, g, k*q, a), the periodized correlation of g
 and T_{kq} g: g * conj(T_{kq} g) folded to period a, repeated N times, so
 one period of a row, table[k, :a], is the whole fold. The table is built
-from those b folds and holds no more memory than itself. Its period-a rows
-are the Walnut table of the window's frame analysis, read off the Zak
-blocks, which is where the Walnut bound and the energy split read them.
+from those b folds and holds no more memory than itself. This is Walnut's
+signal-domain route to the table and reads lattice alone; frame reads the
+same period-a rows off the Zak blocks (the Walnut bound, the energy split).
 """
 
 from __future__ import annotations
@@ -23,16 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import _analysis, _blocks, _ct, _walnut
 from .lattice import GaborLattice, as_signal, translate
 
-__all__ = [
-    "CorrelationProfile",
-    "cross_correlation_table",
-    "correlation_profile",
-    "walnut_upper_bound",
-    "frame_energy_split",
-]
+__all__ = ["CorrelationProfile", "cross_correlation_table", "correlation_profile"]
 
 
 @dataclass(frozen=True)
@@ -69,34 +62,3 @@ def _fold(h: np.ndarray, g: np.ndarray, shift: int, fold_period: int) -> np.ndar
     inner(h, translate(g, shift)) / a."""
     return (h * np.conj(translate(g, shift))).reshape(-1, fold_period).sum(axis=0)
 
-
-def walnut_upper_bound(lat: GaborLattice, g: np.ndarray) -> float:
-    """Diagonal-sum estimate M * max_x sum_k |Gk[k][x]|.
-
-    Always an upper bound for the optimal upper frame bound B (a Schur
-    test on the frame operator's diagonal-sum form); it is attained when
-    the off-diagonal rows vanish, e.g. for tight windows.
-    """
-    table = _analysis(lat, g).walnut()  # [s, k] is Gk[k][s]
-    return float(lat.M * np.max(np.sum(np.abs(table), axis=1)))
-
-
-def frame_energy_split(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> tuple[float, complex]:
-    """Split the coefficient energy sum_{m,n} |<f, atom_{m,n}>|^2 in two.
-
-    Returns (F1, F2) with
-
-        F1 = M * sum_x |f(x)|^2 * Gk[0][x]            (real),
-        F2 = M * sum_{k != 0} sum_x conj(f(x)) f(x - k*q) Gk[k][x],
-
-    where F1 + F2 equals the coefficient energy exactly. F2 is returned as
-    a complex number; its imaginary part is pure roundoff because the
-    k and b-k terms are conjugate. Both Gk and the lagged products of f
-    are a-periodic folds, the (g, g) and (f, f) Walnut tables G, so summing
-    over one period, lag row k is M * sum_s G_gg[s, k] * conj(G_ff[s, k]).
-    G_ff is read off f's Zak blocks: f is a probe, not a window, so it gets no analysis; its
-    blocks come through frame._blocks, which keeps them from a walnut_apply on the same f.
-    """
-    G_gg, Zf = _analysis(lat, g).walnut(), _blocks(lat, f)
-    rows = lat.M * np.sum(G_gg * np.conj(_walnut(lat, Zf @ _ct(Zf))), axis=0)
-    return float(rows[0].real), complex(np.sum(rows[1:]))

@@ -18,9 +18,11 @@ O(L) memory; the Zak pair takes
 O(L log L) time, at most SHORT_DFT * L multiply-adds when it is a matrix product.
 S commutes with every lattice operator, so S^-1 g and S^-1/2 g generate Weyl-Heisenberg
 systems again. Reconstruction, sum <f, h_mn> g_mn, acts on the blocks as
-Z_f -> (L/p) * Z_g Z_h^H Z_f. Every tightness and dual certificate reads the
-period-a Walnut table of (h, g), _walnut: a fixed gather of the cross-Gram blocks Z_h Z_g^H
-(none when a/c = 1), a length-b DFT and, when a/c > 1, a length-a/c inverse DFT. Its columns'
+Z_f -> (L/p) * Z_g Z_h^H Z_f. Every tightness and dual certificate, walnut_upper_bound and
+frame_energy_split read the period-a Walnut table of (h, g) off the Zak blocks, _walnut: a
+fixed gather of the cross-Gram blocks Z_h Z_g^H (none when a/c = 1), a length-b DFT and,
+when a/c > 1, a length-a/c inverse DFT (correlation folds the same table in the signal
+domain, with no Zak code). Its columns'
 length-a DFTs are the adjoint products <h, E_{kp} T_{lq} g> (Janssen), on the adjoint
 lattice the Gabor coefficients. gap, the table less b/L at k = 0, is zero iff h is a dual
 of g (at h = g, iff S = I), and residuals reads the Wexler-Raz and Walnut residuals off it,
@@ -76,6 +78,8 @@ __all__ = [
     "tighten",
     "reconstruct",
     "norm_audit",
+    "walnut_upper_bound",
+    "frame_energy_split",
 ]
 
 # Relative eigenvalue floor below which S is treated as singular.
@@ -434,3 +438,35 @@ def norm_audit(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> No
         max_overlap=max_overlap,
         orthogonal_to_rest=orthogonal,
     )
+
+
+def walnut_upper_bound(lat: GaborLattice, g: np.ndarray) -> float:
+    """Diagonal-sum estimate M * max_x sum_k |Gk[k][x]|.
+
+    Always an upper bound for the optimal upper frame bound B (a Schur
+    test on the frame operator's diagonal-sum form); it is attained when
+    the off-diagonal rows vanish, e.g. for tight windows.
+    """
+    table = _analysis(lat, g).walnut()  # [s, k] is Gk[k][s]
+    return float(lat.M * np.max(np.sum(np.abs(table), axis=1)))
+
+
+def frame_energy_split(lat: GaborLattice, g: np.ndarray, f: np.ndarray) -> tuple[float, complex]:
+    """Split the coefficient energy sum_{m,n} |<f, atom_{m,n}>|^2 in two.
+
+    Returns (F1, F2) with
+
+        F1 = M * sum_x |f(x)|^2 * Gk[0][x]            (real),
+        F2 = M * sum_{k != 0} sum_x conj(f(x)) f(x - k*q) Gk[k][x],
+
+    where F1 + F2 equals the coefficient energy exactly. F2 is returned as
+    a complex number; its imaginary part is pure roundoff because the
+    k and b-k terms are conjugate. Both Gk and the lagged products of f
+    are a-periodic folds, the (g, g) and (f, f) Walnut tables G, so summing
+    over one period, lag row k is M * sum_s G_gg[s, k] * conj(G_ff[s, k]).
+    G_ff is read off f's Zak blocks: f is a probe, not a window, so it gets no analysis; its
+    blocks come through _blocks, which keeps them from a walnut_apply on the same f.
+    """
+    G_gg, Zf = _analysis(lat, g).walnut(), _blocks(lat, f)
+    rows = lat.M * np.sum(G_gg * np.conj(_walnut(lat, Zf @ _ct(Zf))), axis=0)
+    return float(rows[0].real), complex(np.sum(rows[1:]))

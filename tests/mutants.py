@@ -71,6 +71,10 @@ MUTANTS = (
            "return np.conj(A) @ A.T", "return A @ A.T"),
     Mutant("audit-lattice", FRAME,  # norm_audit's blocks on the lattice, not its adjoint
            "Z = _forward(adj, g)", "Z = _forward(lat, g)"),
+    Mutant("energy-conj", FRAME,  # the probe's table in frame_energy_split not conjugated
+           "G_gg * np.conj(_walnut(lat, Zf @ _ct(Zf)))", "G_gg * _walnut(lat, Zf @ _ct(Zf))"),
+    Mutant("bound-axis", FRAME,  # walnut_upper_bound sums the table over its rows
+           "np.max(np.sum(np.abs(table), axis=1))", "np.max(np.sum(np.abs(table), axis=0))"),
     Mutant("memo-bytes-only", FRAME,  # the memo's compare without the lattice
            "    if kept[0] != key:", "    if kept[0] is None or kept[0][1] != key[1]:"),
     Mutant("memo-evict-first", FRAME,  # the kept entry dropped before the finiteness scan

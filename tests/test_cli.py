@@ -472,13 +472,15 @@ def gaussian_pairs(L):
 OVER_LIMIT = [
     ("profile", {"L": 1025, "a": 1, "b": 1025, "g": gaussian_pairs(1025)}, 1025 * 1025),
     ("dual", {"L": 1025, "a": 1, "b": 1, "g": gaussian_pairs(1025)}, 1024 * 1025),
+    # gcd(a, M) = 1 but gcd(b, N) = 2: a count divided by the wrong gcd falls under the limit
+    ("dual", {"L": 1026, "a": 1, "b": 2, "g": gaussian_pairs(1026)}, 1024 * 1026),
     ("make-tight", {"L": 2**20 + 2, "a": 2, "b": 1}, 2**20 + 2),
 ]
 
 
 class TestOutputLimit:
     @pytest.mark.parametrize("command,payload,count", OVER_LIMIT,
-                             ids=["profile", "dual", "make-tight"])
+                             ids=["profile", "dual", "dual-even-b", "make-tight"])
     def test_just_past_the_limit_exits_2(self, tmp_path, capsys, command, payload, count):
         path = write_input(tmp_path, "big.json", payload)
         out_path = tmp_path / "out.json"

@@ -209,9 +209,9 @@ def test_only_the_oracle_takes_svds():
 
 def test_only_the_profile_takes_the_lag_gather():
     """The (b, L) table of periodized correlations is built only in
-    cross_correlation_table, which only correlation_profile calls; every
-    other correlation quantity reads the Walnut table of _FrameAnalysis,
-    and frame.py imports nothing from correlation."""
+    cross_correlation_table, which only correlation_profile calls; the
+    Walnut bound and the energy split read the Walnut table of
+    _FrameAnalysis in frame.py, which imports nothing from correlation."""
     callers = []
     for path in sorted(Path(whframe.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -60,7 +60,7 @@ def test_tight_window_has_the_identity_frame_operator(shape):
 
 
 def test_the_walnut_apply_reads_no_private_name_of_frame():
-    # the fold is correlation's; frame's private names, which correlation imports too,
+    # the fold is correlation's, which imports from lattice alone; frame's private names
     # are the Zak kernel, so a fault there cannot cancel here
     kernel = Path(whframe.__file__).with_name("frame.py").read_text(encoding="utf-8")
     private = {top.name for top in ast.parse(kernel).body if getattr(top, "name", "").startswith("_")}

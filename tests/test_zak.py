@@ -226,9 +226,9 @@ def calls(monkeypatch):
     (wexler_raz_check, (48, 4, 6), 4, 0),
     (dual_conditions_walnut, (48, 4, 6), 3, 0),
     (decompose_dual, (48, 4, 6), 5, 0),
-    (lambda lat, g, h: correlation.walnut_upper_bound(lat, g), (48, 4, 6), 2, 0),
+    (lambda lat, g, h: frame.walnut_upper_bound(lat, g), (48, 4, 6), 2, 0),
     (lambda lat, g, h: frame.frame_operator(lat, g), (48, 4, 6), 2, 0),
-    (correlation.frame_energy_split, (48, 4, 6), 4, 0),
+    (frame.frame_energy_split, (48, 4, 6), 4, 0),
     (lambda lat, g, h: classify(lat, g), (36, 4, 6), 5, 0),  # P = 2: one length-P inverse DFT
     # L/c = 40 > SHORT_DFT: the Zak pair alone calls np.fft
     (lambda lat, g, h: classify(lat, g), (960, 24, 20), 4, 2),
@@ -344,7 +344,7 @@ def test_dual_space_transform_count(calls, call, shape, count, eighs):
     (classify, (12, 3, 4), 0),                              # 1 x 1
     (classify, (36, 4, 6), 1),                              # 2 x 3: one batched eigh
     # the probe f, here g reversed, gets no frame analysis: g's eigh alone
-    (lambda lat, g: correlation.frame_energy_split(lat, g, g[::-1]), (36, 4, 6), 1),
+    (lambda lat, g: frame.frame_energy_split(lat, g, g[::-1]), (36, 4, 6), 1),
 ], ids=["48-4-6", "48-8-12", "12-3-4", "36-4-6", "frame_energy_split-36-4-6"])
 def test_classify_eigh_count(calls, call, shape, count):
     # scalar Gram blocks, min(p, q_w) = 1, are their own eigenvalues
