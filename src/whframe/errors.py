@@ -12,4 +12,5 @@ class NotAFrameError(ValueError):
 
 
 class NotTightError(ValueError):
-    """The window is not a normalized tight generator (spectrum not flat)."""
+    """The window is not a normalized tight generator: its frame bounds fail
+    FrameBounds.normalized_tight."""

@@ -33,13 +33,19 @@ columns (rows, for _inverse), so the gather and scatter go too; numpy's 1/sqrt(n
 the product, so integer sums stay exact.
 On a shared 2-CPU x86-64 VM (numpy 2.4, one BLAS thread) the product is the faster up to
 n = 48 on n x n tables, to about n = 24 on tables of 960 to 1920 columns, and for the Zak
-pair's c <= 120 rows up to n = 32 (even at 40 to 48). Longer DFTs call np.fft.
+pair's c <= 120 rows up to n = 32, with the two even at 40 to 48 on bare Zak pairs; inside
+classify, at L/c = 40 and 48 ((48,1,1), (240,6,10), (960,24,20)), the product took 21% to
+33% less time per call. Longer DFTs call np.fft.
 
 Near-singular operators are rejected rather than inverted: one gate,
-A > FRAME_FLOOR * B, decides "frame" everywhere in the package.
+A > FRAME_FLOOR * B, decides "frame" everywhere in the package, and FrameBounds states the
+tight rule (B - A <= tol * B) and the normalized tight rule (c = (A + B)/2 within tol of 1)
+once, for classify and phase extraction alike.
 
-What the package keeps between calls, _memo keeps: one entry per builder, the lattice and
-the bytes of a signal after as_signal's shape test with what the builder made of them.
+_memo is the one place that keeps results per signal: one entry per build function, the
+lattice and the bytes of a signal after as_signal's shape test with what it built of them.
+Three lru_caches keep tables per lattice or per length: _zak_layout, _walnut_layout and
+_dft_matrix.
 _analysis keeps the window's analysis, so calls on one window share one block FFT, at most
 one eigh and one S^-1 g (only 1.2% of dual-design and 3.4% of verdict-ladder benchmark ops
 find the previous op's window), and _blocks the Zak blocks of the last second signal read
@@ -102,6 +108,15 @@ class FrameBounds:
     def is_frame(self) -> bool:
         """The frame gate: A > FRAME_FLOOR * B with B > 0."""
         return self.B > 0 and self.A > FRAME_FLOOR * self.B
+
+    def tight_constant(self, tol: float) -> float | None:
+        """The tight rule: a frame with B - A <= tol * B is tight, S = c*I with c = (A + B)/2,
+        which it returns (None if not tight). Relative, so no verdict changes with scale."""
+        return (self.A + self.B) / 2 if self.is_frame and self.B - self.A <= tol * self.B else None
+
+    def normalized_tight(self, tol: float) -> bool:
+        """The normalized tight rule: tight with c within tol of 1, S = I."""
+        return (c := self.tight_constant(tol)) is not None and abs(c - 1.0) <= tol
 
 
 @dataclass(frozen=True)
@@ -339,7 +354,7 @@ def _memo(build, lat: GaborLattice, s):
     """build(lat, s), kept for the next call on the same lattice and bytes. s passes
     as_signal's shape test on every call and its finiteness scan on a miss only, before the
     old entry goes, so a rejected signal leaves it in place; build reads a read-only copy of
-    the bytes. The one place the package keeps a result between calls."""
+    the bytes. The one place the package keeps a result per signal."""
     s = np.asarray(s, dtype=np.complex128)
     if s.shape != (lat.L,):
         as_signal(s, lat.L)  # raises the gate's shape error

@@ -132,8 +132,7 @@ def adjoint_atom(lat: GaborLattice, g: np.ndarray, k: int, l: int) -> np.ndarray
     output(x) = exp(2*pi*i*k*p*x/L) * g(x - l*q). Indices reduce mod a and
     mod b respectively.
     """
-    adj = lat.adjoint()
-    return modulate(translate(as_signal(g, lat.L), l % adj.N * adj.a), k % adj.M, adj)
+    return gabor_atom(lat.adjoint(), g, k, l)
 
 
 def dft(s: np.ndarray) -> np.ndarray:

@@ -5,10 +5,10 @@ At critical density (a*b == L) the window decouples into the a residue
 subsequences z_y(n) = g(y + n*a), n in [0, N), N = b. The system is
 normalized tight iff every z_y is orthogonal to all of its proper cyclic
 shifts with squared norm b/L (criterion (3), tightness.check_cond_adjoint),
-iff every z_y has a flat unitary DFT with modulus L**-0.5 per bin (the test
-phases_from_tight_generator makes). That makes the full set of tight
-generators an explicit family: pick any real phase array phi[y][j] (in
-cycles), set
+iff every z_y has a flat unitary DFT with modulus L**-0.5 per bin, as the
+eigenvalues of S are L*|w_y(j)|^2 over those spectra w_y. That makes the full
+set of tight generators an explicit family: pick any real phase array phi[y][j]
+(in cycles), set
 
     w_y(j) = L**-0.5 * exp(2*pi*i*phi[y][j]),   z_y = unitary-IDFT(w_y),
 
@@ -16,6 +16,8 @@ and interleave the z_y back into g. Phase extraction inverts this, so the
 parametrization is complete as well as sound. Both directions are one np.fft
 call over the a residue rows. The w_y are frame's 1 x 1 Zak blocks (c = a,
 d = b) in another order, where the Zak pair's gather W and its inverse cancel.
+Extraction tests no modulus itself: it takes the verdict classify reports,
+FrameBounds.normalized_tight on the bounds of the window's frame analysis.
 
 Below critical density there is no such closed form; random tight windows
 are produced by drawing a Gaussian window and applying the canonical
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LatticeError, NotAFrameError, NotTightError
-from .frame import DEFAULT_TOL, _check_tol, tighten
-from .lattice import GaborLattice, as_signal
+from .frame import DEFAULT_TOL, _analysis, _check_tol, tighten
+from .lattice import GaborLattice
 
 __all__ = [
     "PhaseSpec",
@@ -83,23 +85,22 @@ def phases_from_tight_generator(lat: GaborLattice, g: np.ndarray,
                                 tol: float = DEFAULT_TOL) -> PhaseSpec:
     """Recover the phase array of a tight generator at critical density.
 
-    Raises NotTightError if any residue spectrum modulus deviates from
-    L**-0.5 by more than tol. Phases are returned mod 1, so round trips
-    reproduce g but not necessarily the original phase representatives.
+    Raises NotTightError unless the window's frame bounds pass
+    FrameBounds.normalized_tight(tol), the verdict classify reports. Phases
+    are returned mod 1, so round trips reproduce g but not necessarily the
+    original phase representatives.
     """
     _check_tol(tol)
     if not lat.is_critical:
         raise LatticeError(
             f"phase extraction needs a*b == L, got {lat.a}*{lat.b} != {lat.L}"
         )
+    analysis = _analysis(lat, g)
+    if not analysis.bounds.normalized_tight(tol):
+        raise NotTightError(f"window is not a normalized tight generator: {analysis.bounds}, "
+                            f"tol {tol:.1e}")
     # row y: w_y, the unitary DFT of z_y(n) = g(y + n*a)
-    spectra = np.fft.fft(as_signal(g, lat.L).reshape(lat.N, lat.a).T, axis=1, norm="ortho")
-    deviation = float(np.max(np.abs(np.abs(spectra) - lat.L ** -0.5)))
-    if deviation > tol:
-        raise NotTightError(
-            f"residue spectrum modulus off by {deviation:.3e} (tol {tol:.1e}); "
-            "window is not a normalized tight generator"
-        )
+    spectra = np.fft.fft(analysis.g.reshape(lat.N, lat.a).T, axis=1, norm="ortho")
     return PhaseSpec(lat, np.mod(np.angle(spectra) / (2 * np.pi), 1.0))
 
 

@@ -49,7 +49,8 @@ class TightnessReport:
     """Verdicts and residuals for one (lattice, window) pair.
 
     tight_constant is the common eigenvalue c when S == c*I within
-    tolerance, else None; normalized_tight means c == 1. The four
+    tolerance, else None; normalized_tight means c == 1 within tolerance,
+    so it implies a tight_constant (FrameBounds' two rules). The four
     residuals correspond to the equivalent criteria listed in the module
     docstring and must agree with the bounds-based verdict.
     """
@@ -108,23 +109,21 @@ def check_cond_fixed_point(lat: GaborLattice, g: np.ndarray, tol: float = DEFAUL
 def classify(lat: GaborLattice, g: np.ndarray, tol: float = DEFAULT_TOL) -> TightnessReport:
     """Full tightness report: bounds, all four residuals, basis flags.
 
-    Tight means a frame with B - A <= tol * B, so no verdict changes when g is scaled.
-    Criteria (2)-(4) are the residuals of the window's frame analysis.
+    The tight and normalized tight verdicts are FrameBounds' rules. Criteria (2)-(4) are
+    the residuals of the window's frame analysis.
     """
     _check_tol(tol)
     analysis = _analysis(lat, g)
     g, bounds = analysis.g, analysis.bounds
     is_frame = bounds.is_frame
-    tight = is_frame and bounds.B - bounds.A <= tol * bounds.B
-    tight_constant = (bounds.A + bounds.B) / 2 if tight else None
-    normalized_tight = is_frame and abs(bounds.A - 1.0) <= tol and abs(bounds.B - 1.0) <= tol
+    normalized_tight = bounds.normalized_tight(tol)
     onb = normalized_tight and abs(norm_sq(g) ** 0.5 - 1.0) <= tol
     adjoint, flat = analysis.residuals()  # criteria (3)-(4), (2)
     fixed_point = float(np.abs(analysis.apply() - g).max())
     return TightnessReport(
         bounds=bounds,
         is_frame=is_frame,
-        tight_constant=tight_constant,
+        tight_constant=bounds.tight_constant(tol),
         normalized_tight=normalized_tight,
         onb=onb,
         riesz_basis=is_frame and lat.is_critical,

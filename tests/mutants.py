@@ -81,6 +81,11 @@ MUTANTS = (
            "    if kept[0] != key:  # a miss: scan, build, and return this call's entry\n",
            "    if kept[0] != key:  # a miss: scan, build, and return this call's entry\n"
            "        _kept.pop(build, None)\n"),
+    Mutant("tight-endpoints", "src/whframe/tightness.py",  # classify on |A - 1|, |B - 1| <= tol
+           "normalized_tight = bounds.normalized_tight(tol)",
+           "normalized_tight = is_frame and abs(bounds.A - 1.0) <= tol and abs(bounds.B - 1.0) <= tol"),
+    Mutant("phases-no-verdict", "src/whframe/synthesis.py",  # extraction without the verdict
+           "if not analysis.bounds.normalized_tight(tol):", "if False:"),
 )
 
 # expected to survive, and why

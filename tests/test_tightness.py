@@ -1,9 +1,13 @@
+import json
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from whframe import (
     GaborLattice,
     NotAFrameError,
+    NotTightError,
     check_cond_adjoint,
     check_cond_fixed_point,
     check_cond_orthogonal_system,
@@ -15,9 +19,11 @@ from whframe import (
     fourier_dual_check,
     frame_bounds,
     norm_sq,
+    phases_from_tight_generator,
     random_tight_generator,
     wexler_raz_check,
 )
+from whframe.cli import main
 from whframe.oracle import analysis_array
 from helpers import lattice_pool, random_frame, random_lattice, random_signal, random_tight_instance
 
@@ -141,6 +147,61 @@ class TestClassify:
         if report.onb:
             assert report.normalized_tight
             assert abs(np.sqrt(norm_sq(g)) - 1.0) <= 1e-9
+
+
+# (A - 1, B - 1) in units of tol, A <= B: the band around the tight rule B - A <= tol * B
+# and its normalized form |c - 1| <= tol, c = (A + B)/2, in which the endpoint rule
+# |A - 1|, |B - 1| <= tol and a residue modulus test ||w| - L**-0.5| <= tol disagree with it
+BAND = (-3, -1.5, -0.9, -0.5, 0, 0.2, 0.5, 0.9, 1.15, 1.5, 3)
+BAND_PAIRS = [(x, y) for i, x in enumerate(BAND) for y in BAND[i:]]
+
+
+def band_windows(lat, tol):
+    """(case, window) for every pair in BAND_PAIRS: a critical window whose frame bounds are
+    A = 1 + x*tol and B = 1 + y*tol. At a*b = L the eigenvalues of S are L |w_y(j)|^2 over
+    the residue spectra w_y, so one bin sets A, one B, and the rest sit at 1 clipped to [A, B]."""
+    rng = np.random.default_rng(lat.L)
+    for x, y in BAND_PAIRS:
+        A, B = 1 + x * tol, 1 + y * tol
+        eig = np.full(lat.L, min(max(1.0, A), B))
+        eig[:2] = A, B
+        eig = rng.permutation(eig).reshape(lat.a, lat.b)
+        spectra = np.sqrt(eig / lat.L) * np.exp(2j * np.pi * rng.random(eig.shape))
+        yield (x, y), np.fft.ifft(spectra, axis=1, norm="ortho").T.reshape(lat.L)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("shape", [(12, 3, 4), (48, 6, 8), (240, 12, 20), (960, 24, 40)])
+class TestOneTightRule:
+    # classify, the phase extraction and check-tight give one answer in the band
+    def test_classify(self, shape, tol):
+        lat, verdicts = GaborLattice(*shape), set()
+        for case, g in band_windows(lat, tol):
+            report = classify(lat, g, tol)
+            assert abs(report.bounds.A - 1 - case[0] * tol) <= 1e-3 * tol, case
+            assert abs(report.bounds.B - 1 - case[1] * tol) <= 1e-3 * tol, case
+            c = report.tight_constant
+            assert c is not None or not report.normalized_tight, case
+            assert (c is not None and abs(c - 1.0) <= tol) == report.normalized_tight, case
+            verdicts.add(report.normalized_tight)
+        assert verdicts == {False, True}
+
+    def test_phase_extraction(self, shape, tol):
+        lat = GaborLattice(*shape)
+        for _, g in band_windows(lat, tol):
+            accepted = classify(lat, g, tol).normalized_tight
+            with nullcontext() if accepted else pytest.raises(NotTightError):
+                phases_from_tight_generator(lat, g, tol)
+
+    def test_check_tight(self, shape, tol, tmp_path, capsys):
+        lat, path = GaborLattice(*shape), tmp_path / "g.json"
+        for case, g in band_windows(lat, tol):
+            pairs = np.stack([g.real, g.imag], axis=-1).tolist()
+            path.write_text(json.dumps({"L": lat.L, "a": lat.a, "b": lat.b, "g": pairs}))
+            code = main(["check-tight", "--input", str(path), "--tol", repr(tol)])
+            report = json.loads(capsys.readouterr().out)["tightness"]
+            assert code == (0 if report["normalized_tight"] else 1), case
+            assert report["tight_constant"] is not None or not report["normalized_tight"], case
 
 
 class TestEquivalenceSuite:

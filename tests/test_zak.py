@@ -232,11 +232,12 @@ def calls(monkeypatch):
     (lambda lat, g, h: classify(lat, g), (36, 4, 6), 5, 0),  # P = 2: one length-P inverse DFT
     # L/c = 40 > SHORT_DFT: the Zak pair alone calls np.fft
     (lambda lat, g, h: classify(lat, g), (960, 24, 20), 4, 2),
-    # the phase API is one inverse or one forward np.fft of the residue rows at a*b = L
+    # the phase API is one inverse or one forward np.fft of the residue rows at a*b = L;
+    # extraction also takes its verdict from the window's analysis, one Zak block transform
     (lambda lat, g, h: tight_generator_from_phases(PhaseSpec(lat, g.real.reshape(3, 4))),
      (12, 3, 4), 1, 1),
     (lambda lat, g, h: phases_from_tight_generator(lat, np.repeat([1.0, 0.0], [3, 9]) / np.sqrt(3)),
-     (12, 3, 4), 1, 1),
+     (12, 3, 4), 2, 1),
     # the block FFT of g, and one inverse per signal out; one forward per extra window in
     (lambda lat, g, h: tighten(lat, g), (48, 4, 6), 2, 0),
     (lambda lat, g, h: canonical_dual(lat, g), (48, 4, 6), 2, 0),
