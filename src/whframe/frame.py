@@ -40,7 +40,7 @@ classify, at L/c = 40 and 48 ((48,1,1), (240,6,10), (960,24,20)), the product to
 Near-singular operators are rejected rather than inverted: one gate,
 A > FRAME_FLOOR * B, decides "frame" everywhere in the package, and FrameBounds states the
 tight rule (B - A <= tol * B) and the normalized tight rule (c = (A + B)/2 within tol of 1)
-once, for classify and phase extraction alike.
+once, for classify and phase extraction alike; the oracle reads the tight rule off its own bounds.
 
 _memo is the one place that keeps results per signal: one entry per build function, the
 lattice and the bytes of a signal after as_signal's shape test with what it built of them.

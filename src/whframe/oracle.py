@@ -1,8 +1,10 @@
 """Brute-force ground truth for every fast path in the package.
 
 Everything here is assembled from explicit atom enumeration and dense
-linear algebra only; nothing is shared with the correlation or frame
+linear algebra only; no arithmetic is shared with the correlation or frame
 modules, so agreement between the two routes is evidence, not tautology.
+The oracle reads two rules from FrameBounds, the frame gate and the tight
+rule, off its own spectrum; it builds no frame operator.
 Every window passes as_signal once per analysis array.
 Cost is O(L^3) and worse by design.
 """
@@ -59,18 +61,9 @@ def oracle_is_dual(lat: GaborLattice, g: np.ndarray, h: np.ndarray,
 
 def oracle_tight_constant(lat: GaborLattice, g: np.ndarray,
                           tol: float = DEFAULT_TOL) -> float | None:
-    """The constant c > 0 with S == c*I, or None (S = 0 is no frame).
-
-    S is assembled from the analysis array alone and compared against
-    c*I entrywise, with c read off the diagonal average, to within
-    tol * max(c, 1) so that scaled tight windows keep their constant.
-    """
-    arr = analysis_array(lat, g)
-    S = np.conj(arr).T @ arr
-    c = float(np.mean(np.diag(S).real))
-    if c > 0.0 and np.max(np.abs(S - c * np.eye(lat.L))) <= tol * max(c, 1.0):
-        return c
-    return None
+    """The constant c > 0 with S == c*I, or None: FrameBounds' tight rule, read off the
+    oracle's own bounds, the squared extreme singular values of the analysis array."""
+    return oracle_frame_bounds(lat, g).tight_constant(tol)
 
 
 def oracle_adjoint_gram(lat: GaborLattice, g: np.ndarray) -> np.ndarray:

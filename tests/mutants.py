@@ -39,7 +39,7 @@ class Mutant(NamedTuple):
     new: str
 
 
-FRAME, CLI = "src/whframe/frame.py", "src/whframe/cli.py"
+FRAME, CLI, DUALITY = "src/whframe/frame.py", "src/whframe/cli.py", "src/whframe/duality.py"
 MUTANTS = (
     Mutant("zak-axes", FRAME,  # _zak_layout's block axes swapped
            "W = np.empty((d, lat.b // d, lat.N // d), dtype=np.intp)\n"
@@ -86,6 +86,12 @@ MUTANTS = (
            "normalized_tight = is_frame and abs(bounds.A - 1.0) <= tol and abs(bounds.B - 1.0) <= tol"),
     Mutant("phases-no-verdict", "src/whframe/synthesis.py",  # extraction without the verdict
            "if not analysis.bounds.normalized_tight(tol):", "if False:"),
+    Mutant("tight-absolute", FRAME,  # the tight rule on B - A <= tol, not relative to B
+           "self.B - self.A <= tol * self.B", "self.B - self.A <= tol"),
+    Mutant("dual-no-wr", DUALITY,  # decompose_dual's verdict without the Wexler-Raz test
+           "is_dual=wr <= tol and in_complement,", "is_dual=in_complement,"),
+    Mutant("dual-no-complement", DUALITY,  # decompose_dual's verdict without membership in W
+           "is_dual=wr <= tol and in_complement,", "is_dual=wr <= tol,"),
 )
 
 # expected to survive, and why

@@ -9,12 +9,14 @@ from whframe import (
     decompose_dual,
     dual_conditions_walnut,
     dual_space,
+    frame_bounds,
     inner,
     make_alternate_dual,
+    random_tight_generator,
     wexler_raz_check,
 )
 from whframe.oracle import oracle_is_dual
-from helpers import random_frame, random_signal, random_tight_instance
+from helpers import lattice_pool, random_frame, random_signal, random_tight_instance
 
 
 class TestWexlerRaz:
@@ -64,6 +66,28 @@ class TestWalnutDualConditions:
             wr = wexler_raz_check(lat, g, h) <= 1e-9
             wn = dual_conditions_walnut(lat, g, h) <= 1e-9
             assert wr == wn
+
+    def test_never_exceeds_wexler_raz_in_the_band(self):
+        # gap is the inverse length-a DFT of the adjoint products less a*b/L, so its largest
+        # modulus never exceeds theirs: decompose_dual's Wexler-Raz test implies the Walnut one
+        rng, tol, cases = np.random.default_rng(38), 1e-9, 0
+        lats = [lat for lat in lattice_pool((12, 24, 36, 48, 60)) if lat.a * lat.b < lat.L]
+        for lat in lats * 4:
+            g = random_signal(rng, lat.L, normalize=True)
+            if not frame_bounds(lat, g).is_frame:
+                continue
+            dual = canonical_dual(lat, g)
+            spike = np.zeros(lat.L, dtype=complex)
+            spike[rng.integers(lat.L)] = 1
+            for e in (random_signal(rng, lat.L, normalize=True), spike):
+                # the residual is affine in h; scale e so that it lands in [0.5, 1.5] tol
+                unit = wexler_raz_check(lat, g, dual + 1e-6 * e) / 1e-6
+                h = dual + rng.uniform(0.5, 1.5) * tol / unit * e
+                wr, walnut = wexler_raz_check(lat, g, h), dual_conditions_walnut(lat, g, h)
+                assert 0.4 * tol <= wr <= 1.6 * tol
+                assert walnut <= wr, (lat, walnut / wr)
+                cases += 1
+        assert cases >= 1000
 
 
 class TestDualSpace:
@@ -201,6 +225,36 @@ class TestDecomposeDual:
         lat, g = impulse
         with pytest.raises(NotAFrameError):
             decompose_dual(lat, g, g)
+
+    @pytest.mark.parametrize("shape", [(12, 3, 2), (48, 4, 6), (120, 6, 10)])
+    def test_wexler_raz_term(self, shape):
+        # a free part of norm tol/2 along an adjoint atom passes the complement test (orbit
+        # norm tol/2), but against g = 1e3 t the Wexler-Raz residual reads tol/2 * 1e3 * ||t||
+        # = 3.5e-7 at density 1/2: no dual
+        lat = GaborLattice(*shape)
+        t = random_tight_generator(lat, 1)
+        u = adjoint_atom(lat, t, 1, 1)
+        g = 1e3 * t
+        h = canonical_dual(lat, g) + 0.5e-9 * u / np.linalg.norm(u)
+        report = decompose_dual(lat, g, h)
+        assert report.free_part_in_complement
+        assert report.wexler_raz_residual == pytest.approx(3.5e-7, rel=0.02)
+        assert not report.is_dual
+        assert not oracle_is_dual(lat, g, h)
+
+    @pytest.mark.parametrize("shape", [(12, 3, 2), (48, 4, 6), (120, 6, 10)])
+    def test_complement_term(self, shape):
+        # a free part of norm 1.2 tol along an adjoint atom of a tight t: the Wexler-Raz
+        # residual reads 1.2 tol * ||t|| = 8.5e-10 at density 1/2, but the part is not in W
+        lat = GaborLattice(*shape)
+        t = random_tight_generator(lat, 1)
+        u = adjoint_atom(lat, t, 1, 1)
+        h = t + 1.2e-9 * u / np.linalg.norm(u)
+        report = decompose_dual(lat, t, h)
+        assert report.wexler_raz_residual == pytest.approx(8.5e-10, rel=0.02)
+        assert not report.free_part_in_complement
+        assert not report.is_dual
+        assert not oracle_is_dual(lat, t, h)
 
 
 class TestThreeWayAgreement:

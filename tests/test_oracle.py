@@ -23,7 +23,7 @@ from whframe.oracle import (
     oracle_is_dual,
     oracle_tight_constant,
 )
-from helpers import random_frame, random_lattice, random_signal, random_tight_instance
+from helpers import band_windows, random_frame, random_lattice, random_signal, random_tight_instance
 
 
 class TestAnalysisArray:
@@ -143,6 +143,20 @@ class TestOracleTightConstant:
             c = oracle_tight_constant(lat, g)
             assert c == pytest.approx(1.0, abs=1e-9)
             assert classify(lat, g).tight_constant == pytest.approx(c, abs=1e-9)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("shape", [(12, 3, 4), (48, 6, 8), (120, 6, 20)])
+    def test_band_agrees_with_classify(self, shape, tol):
+        # one tight rule, FrameBounds', read off the SVD here and the Zak spectrum there;
+        # at B - A = tol * B (y - x = 1) the two roundings fall on either side of the edge
+        lat = GaborLattice(*shape)
+        for (x, y), g in band_windows(lat, tol):
+            if y - x == 1:
+                continue
+            c, report = oracle_tight_constant(lat, g, tol), classify(lat, g, tol)
+            assert (c is None) == (report.tight_constant is None), (x, y)
+            if c is not None:
+                assert report.tight_constant == pytest.approx(c, rel=1e-12), (x, y)
 
 
 class TestOracleAdjointGram:

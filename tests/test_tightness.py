@@ -25,7 +25,8 @@ from whframe import (
 )
 from whframe.cli import main
 from whframe.oracle import analysis_array
-from helpers import lattice_pool, random_frame, random_lattice, random_signal, random_tight_instance
+from helpers import (band_windows, lattice_pool, random_frame, random_lattice, random_signal,
+                     random_tight_instance)
 
 
 class TestConditionResiduals:
@@ -149,27 +150,6 @@ class TestClassify:
             assert abs(np.sqrt(norm_sq(g)) - 1.0) <= 1e-9
 
 
-# (A - 1, B - 1) in units of tol, A <= B: the band around the tight rule B - A <= tol * B
-# and its normalized form |c - 1| <= tol, c = (A + B)/2, in which the endpoint rule
-# |A - 1|, |B - 1| <= tol and a residue modulus test ||w| - L**-0.5| <= tol disagree with it
-BAND = (-3, -1.5, -0.9, -0.5, 0, 0.2, 0.5, 0.9, 1.15, 1.5, 3)
-BAND_PAIRS = [(x, y) for i, x in enumerate(BAND) for y in BAND[i:]]
-
-
-def band_windows(lat, tol):
-    """(case, window) for every pair in BAND_PAIRS: a critical window whose frame bounds are
-    A = 1 + x*tol and B = 1 + y*tol. At a*b = L the eigenvalues of S are L |w_y(j)|^2 over
-    the residue spectra w_y, so one bin sets A, one B, and the rest sit at 1 clipped to [A, B]."""
-    rng = np.random.default_rng(lat.L)
-    for x, y in BAND_PAIRS:
-        A, B = 1 + x * tol, 1 + y * tol
-        eig = np.full(lat.L, min(max(1.0, A), B))
-        eig[:2] = A, B
-        eig = rng.permutation(eig).reshape(lat.a, lat.b)
-        spectra = np.sqrt(eig / lat.L) * np.exp(2j * np.pi * rng.random(eig.shape))
-        yield (x, y), np.fft.ifft(spectra, axis=1, norm="ortho").T.reshape(lat.L)
-
-
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])
 @pytest.mark.parametrize("shape", [(12, 3, 4), (48, 6, 8), (240, 12, 20), (960, 24, 40)])
 class TestOneTightRule:
@@ -206,13 +186,12 @@ class TestOneTightRule:
 
 class TestEquivalenceSuite:
     def verdicts(self, lat, g, tol=1e-9):
-        bounds = frame_bounds(lat, g)
         return (
             check_cond_walnut(lat, g) <= tol,
             check_cond_adjoint(lat, g) <= tol,
             check_cond_orthogonal_system(lat, g) <= tol,
             check_cond_fixed_point(lat, g, tol) <= tol,
-            abs(bounds.A - 1) <= tol and abs(bounds.B - 1) <= tol,
+            frame_bounds(lat, g).normalized_tight(tol),
         )
 
     def test_random_windows_agree(self):
